@@ -87,7 +87,6 @@ pub mod prelude {
         ServeSimOutcome, SimConfig, SimJob, SimRequest, TableRow,
     };
     pub use exec::{ExecPolicy, ExecStats, StatsSink};
-    pub use farm::batching::run_batched_farm;
     pub use farm::hierarchy::run_hierarchical_farm;
     pub use farm::calibrate::{measured_costs, paper_costs, CostModel};
     pub use farm::portfolio::{

@@ -7,22 +7,23 @@
 //! contiguous chunks, one per sub-master; each sub-master runs a private
 //! Robin-Hood loop over its own slaves and reports its collected results
 //! back to the global master when its chunk is drained.
+//!
+//! Sub-masters and their slaves speak the flat farm's Fig. 4 protocol
+//! ([`crate::robin_hood`]'s `send_job` / `slave_loop`); only the rank
+//! acting as master differs.
 
 use crate::config::RunCtx;
 use crate::driver::{self, JobMap, RecvStyle};
-use crate::instrument;
-use crate::robin_hood::{FarmError, FarmReport, JobOutcome};
-use crate::strategy::{prepare_payload_recorded, recover_problem_recorded, Transmission};
+use crate::robin_hood::{send_job, send_stop, slave_loop, FarmError, FarmReport, JobOutcome, TAG};
+use crate::strategy::Transmission;
 use crate::wire::{Answer, JobMsg};
 use minimpi::{Comm, MpiBuf, World};
-use nspval::{Hash, List, Value};
+use nspval::{List, Value};
 use obs::Recorder;
 use sched::SchedConfig;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
-
-const TAG: i32 = 11;
 
 /// Rank layout for `groups` sub-masters with `slaves_per_group` slaves
 /// each: rank 0 = global master; ranks `1 + g*(slaves_per_group+1)` are
@@ -96,13 +97,13 @@ pub fn run_hierarchical_farm_recorded(
     let results = World::run_instrumented(topo.world_size(), None, recorder, |comm| {
         let rank = comm.rank();
         if rank == 0 {
-            Some(global_master(&comm, files, topo))
+            Some(global_master(&comm, files, topo, strategy))
         } else {
             let (g, is_sub) = topo.classify(rank);
             if is_sub {
-                sub_master(&comm, &ctx, topo, g, strategy).expect("sub-master failed");
+                sub_master(&comm, &ctx, topo, strategy).expect("sub-master failed");
             } else {
-                slave(&comm, &ctx, topo.sub_master_rank(g), strategy).expect("slave failed");
+                slave_loop(&comm, &ctx, strategy, topo.sub_master_rank(g)).expect("slave failed");
             }
             None
         }
@@ -114,9 +115,14 @@ pub fn run_hierarchical_farm_recorded(
         .expect("global master produces the report")
 }
 
-/// Global master: chunk the portfolio, send one chunk (as a name list) to
-/// each sub-master, gather their result lists.
-fn global_master(comm: &Comm, files: &[PathBuf], topo: Topology) -> Result<FarmReport, FarmError> {
+/// Global master: chunk the portfolio, send one chunk (a list of
+/// [`JobMsg`]s) to each sub-master, gather their result lists.
+fn global_master(
+    comm: &Comm,
+    files: &[PathBuf],
+    topo: Topology,
+    strategy: Transmission,
+) -> Result<FarmReport, FarmError> {
     let start = Instant::now();
     // Contiguous chunking, remainder spread over the first groups.
     let base = files.len() / topo.groups;
@@ -124,15 +130,14 @@ fn global_master(comm: &Comm, files: &[PathBuf], topo: Topology) -> Result<FarmR
     let mut begin = 0;
     for g in 0..topo.groups {
         let len = base + usize::from(g < rem);
-        let mut chunk = List::new();
-        for (idx, file) in files.iter().enumerate().take(begin + len).skip(begin) {
-            let mut h = Hash::new();
-            h.set("idx", Value::scalar(idx as f64));
-            h.set("name", Value::string(file.to_string_lossy().to_string()));
-            chunk.add_last(Value::Hash(h));
-        }
+        let chunk: Vec<Value> = (begin..begin + len)
+            .map(|idx| {
+                let name = files[idx].to_string_lossy().into_owned();
+                JobMsg { idx, name }.to_value()
+            })
+            .collect();
         begin += len;
-        comm.send_obj(&Value::List(chunk), topo.sub_master_rank(g) as i32, TAG)?;
+        comm.send_obj(&Value::list(chunk), topo.sub_master_rank(g) as i32, TAG)?;
     }
     // Gather per-group reports.
     let mut outcomes = Vec::with_capacity(files.len());
@@ -141,25 +146,30 @@ fn global_master(comm: &Comm, files: &[PathBuf], topo: Topology) -> Result<FarmR
         let (v, _st) = driver::recv_any(comm, TAG)?;
         let list = v
             .as_list()
-            .ok_or_else(|| FarmError::Io("bad group report".into()))?;
+            .ok_or_else(|| FarmError::Protocol(format!("undecodable group report: {v}")))?;
         for item in list.iter() {
-            let h = item
+            // A priced answer plus the rank that priced it.
+            let bad = || FarmError::Protocol(format!("undecodable group report item: {item}"));
+            let slave = item
                 .as_hash()
-                .ok_or_else(|| FarmError::Io("bad group report item".into()))?;
-            let job = h.get("job").and_then(|x| x.as_scalar()).unwrap_or(-1.0) as usize;
-            let price = h
-                .get("price")
+                .and_then(|h| h.get("slave"))
                 .and_then(|x| x.as_scalar())
-                .ok_or_else(|| FarmError::Io("missing price".into()))?;
-            let slave =
-                h.get("slave")
-                    .and_then(|x| x.as_scalar())
-                    .ok_or_else(|| FarmError::Io("missing slave".into()))? as usize;
+                .map(|s| s as usize)
+                .filter(|&s| s < per_slave.len())
+                .ok_or_else(bad)?;
+            let Some(Answer::Priced {
+                job,
+                price,
+                std_error,
+            }) = Answer::decode(item)
+            else {
+                return Err(bad());
+            };
             outcomes.push(JobOutcome {
                 job,
                 slave,
                 price,
-                std_error: h.get("std_error").and_then(|x| x.as_scalar()),
+                std_error,
             });
             per_slave[slave] += 1;
         }
@@ -171,7 +181,7 @@ fn global_master(comm: &Comm, files: &[PathBuf], topo: Topology) -> Result<FarmR
         failed_jobs: Vec::new(),
         retries: 0,
         dead_slaves: Vec::new(),
-        strategy: Transmission::SerializedLoad,
+        strategy,
         trace: None,
     })
 }
@@ -182,46 +192,21 @@ fn sub_master(
     comm: &Comm,
     ctx: &RunCtx,
     topo: Topology,
-    group: usize,
     strategy: Transmission,
 ) -> Result<(), FarmError> {
     let (chunk, _) = comm.recv_obj(0, TAG)?;
-    let list = chunk
+    let jobs: Vec<JobMsg> = chunk
         .as_list()
-        .ok_or_else(|| FarmError::Io("bad chunk".into()))?;
-    let jobs: Vec<(usize, PathBuf)> = list
-        .iter()
-        .map(|item| {
-            let h = item.as_hash().expect("chunk item is a hash");
-            (
-                h.get("idx").and_then(|x| x.as_scalar()).expect("idx") as usize,
-                PathBuf::from(h.get("name").and_then(|x| x.as_str()).expect("name")),
-            )
-        })
-        .collect();
+        .and_then(|l| l.iter().map(JobMsg::decode).collect())
+        .ok_or_else(|| FarmError::Protocol(format!("undecodable job chunk: {chunk}")))?;
 
     let my_rank = comm.rank();
     // Scheduler slave `s` is MPI rank `my_rank + s`; sched job `j` is
     // global job `base + j` (chunks are contiguous).
     let mut ranks = vec![my_rank];
     ranks.extend((1..=topo.slaves_per_group).map(|k| my_rank + k));
-    let base = jobs.first().map(|&(g, _)| g).unwrap_or(0);
-
-    let send_one =
-        |comm: &Comm, slave: usize, (idx, path): &(usize, PathBuf)| -> Result<(), FarmError> {
-            comm.set_job(Some(*idx));
-            let msg = JobMsg {
-                idx: *idx,
-                name: path.to_string_lossy().to_string(),
-            };
-            comm.send_obj(&msg.to_value(), slave as i32, TAG)?;
-            if let Some(payload) = prepare_payload_recorded(comm, ctx, strategy, path)? {
-                let packed = comm.pack(&payload);
-                comm.send(packed.bytes(), slave as i32, TAG)?;
-            }
-            comm.set_job(None);
-            Ok(())
-        };
+    let base = jobs.first().map_or(0, |j| j.idx);
+    let mut scratch = MpiBuf::with_capacity(0);
 
     let cfg = SchedConfig::plain(jobs.len(), topo.slaves_per_group);
     let run = driver::drive_plain(
@@ -232,59 +217,30 @@ fn sub_master(
         RecvStyle::Obj,
         JobMap::Offset(base),
         None,
-        |job, rank, _batch| send_one(comm, rank, &jobs[job]),
-        |rank| Ok(comm.send_obj(&Value::empty_matrix(), rank as i32, TAG)?),
+        |job, rank, _batch| {
+            let JobMsg { idx, name } = &jobs[job];
+            send_job(comm, ctx, rank, *idx, Path::new(name), strategy, &mut scratch)
+        },
+        |rank| send_stop(comm, rank),
     )?;
 
-    // Aggregate report for the global master, in completion order, with
-    // the legacy `{job, price, std_error?, slave}` item layout.
+    // Aggregate report for the global master, in completion order: each
+    // item is a priced `Answer` plus the `slave` rank that priced it.
     let mut results = List::new();
     for o in &run.outcomes {
-        let mut out = Hash::new();
-        out.set("job", Value::scalar(o.job as f64));
-        out.set("price", Value::scalar(o.price));
-        if let Some(se) = o.std_error {
-            out.set("std_error", Value::scalar(se));
+        let mut item = Answer::Priced {
+            job: o.job,
+            price: o.price,
+            std_error: o.std_error,
         }
-        out.set("slave", Value::scalar(o.slave as f64));
-        results.add_last(Value::Hash(out));
+        .to_value();
+        if let Value::Hash(h) = &mut item {
+            h.set("slave", Value::scalar(o.slave as f64));
+        }
+        results.add_last(item);
     }
     comm.send_obj(&Value::List(results), 0, TAG)?;
-    let _ = group;
     Ok(())
-}
-
-/// Compute slave of one group: identical protocol to the flat farm but
-/// pointed at its sub-master.
-fn slave(
-    comm: &Comm,
-    ctx: &RunCtx,
-    master_rank: usize,
-    strategy: Transmission,
-) -> Result<(), FarmError> {
-    loop {
-        let (msg, _) = comm.recv_obj(master_rank as i32, TAG)?;
-        if msg.is_empty_matrix() {
-            return Ok(());
-        }
-        let JobMsg { idx, name } = JobMsg::decode(&msg)
-            .ok_or_else(|| FarmError::Protocol(format!("undecodable job request: {msg}")))?;
-        comm.set_job(Some(idx));
-        let payload = match strategy {
-            Transmission::Nfs => None,
-            _ => {
-                let st = comm.probe(master_rank as i32, TAG)?;
-                let mut buf = MpiBuf::with_capacity(st.count());
-                comm.recv_into(&mut buf, master_rank as i32, TAG)?;
-                Some(comm.unpack(&buf)?)
-            }
-        };
-        let problem = recover_problem_recorded(comm, ctx, strategy, &name, payload.as_ref())?;
-        let r = instrument::compute_recorded(comm, ctx, &problem)
-            .map_err(|e| FarmError::Io(format!("compute failed: {e}")))?;
-        comm.send_obj(&Answer::priced(idx, &r).to_value(), master_rank as i32, TAG)?;
-        comm.set_job(None);
-    }
 }
 
 #[cfg(test)]
@@ -346,6 +302,25 @@ mod tests {
     fn rejects_empty_topology() {
         assert!(run_hierarchical_farm(&[], 0, 3, Transmission::Nfs).is_err());
         assert!(run_hierarchical_farm(&[], 3, 0, Transmission::Nfs).is_err());
+    }
+
+    #[test]
+    fn malformed_chunk_is_a_protocol_error() {
+        let topo = Topology {
+            groups: 1,
+            slaves_per_group: 1,
+        };
+        let ctx = RunCtx::default_ctx();
+        let results = World::run(2, |comm| {
+            if comm.rank() == 0 {
+                let junk = Value::list(vec![Value::scalar(1.0)]);
+                comm.send_obj(&junk, 1, TAG).unwrap();
+                None
+            } else {
+                Some(sub_master(&comm, &ctx, topo, Transmission::Nfs))
+            }
+        });
+        assert!(matches!(results[1], Some(Err(FarmError::Protocol(_)))));
     }
 
     #[test]

@@ -11,9 +11,11 @@
 //! * [`strategy`] — the three transmission strategies compared in
 //!   Tables II/III: **full load**, **NFS**, **serialized load**.
 //! * [`robin_hood`] — the master/slave "Robbin Hood" load balancer of
-//!   Figs. 4–5, running live over `minimpi` threads.
+//!   Figs. 4–5, running live over `minimpi` threads. Its `send_job` and
+//!   `slave_loop` are the one Fig. 4 job protocol: the flat master, the
+//!   hierarchy sub-masters and the shard masters all share them.
 //! * [`batching`] — the §5 "gather several pricing problems and send them
-//!   all together" improvement.
+//!   all together" improvement, reached through [`FarmConfig::batch_size`].
 //! * [`hierarchy`] — the §5 sub-master improvement ("divide the nodes
 //!   into sub-groups, each group having its own master").
 //! * [`shard`] — peer masters without a global root: each owns a

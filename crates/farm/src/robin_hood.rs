@@ -12,6 +12,11 @@
 //! `MPI_Send`); the slave probes, sizes a buffer with `MPI_Get_count`,
 //! receives, unpacks, unserializes, computes and replies with a result
 //! object.
+//!
+//! [`send_job`] and [`slave_loop`] are the one implementation of that
+//! protocol: the flat master here, every hierarchy sub-master
+//! ([`crate::hierarchy`]) and every shard master ([`crate::shard`]) only
+//! change which rank plays the master.
 
 use crate::config::{RunCtx, SchedKnobs};
 use crate::driver::{self, JobMap, RecvStyle};
@@ -155,6 +160,9 @@ impl From<xdrser::XdrError> for FarmError {
 
 /// Master-side: send job `idx` (file `path`) to `slave`.
 ///
+/// `idx` is the id that travels on the wire, and the master's events
+/// for this send are tagged with it too, so both ends of a job agree.
+///
 /// `scratch` is a pack buffer hoisted out of the dispatch loop: loaded
 /// strategies recycle one allocation across the whole run
 /// ([`Comm::pack_into`]), and each reuse shows up as an
@@ -196,14 +204,27 @@ fn send_job_span(
     Ok(())
 }
 
-/// Slave loop — Fig. 4's `if mpi_rank <> 0` branch.
-fn slave_loop(comm: &Comm, ctx: &RunCtx, strategy: Transmission) -> Result<usize, FarmError> {
-    let mut done = 0;
+/// Master-side: send Fig. 4's stop sentinel (an empty name message) to
+/// `slave`.
+pub(crate) fn send_stop(comm: &Comm, slave: usize) -> Result<(), FarmError> {
+    Ok(comm.send_obj(&Value::empty_matrix(), slave as i32, TAG)?)
+}
+
+/// Slave loop — Fig. 4's `if mpi_rank <> 0` branch — serving the
+/// master at rank `master` (0 for flat and shard slaves, the group's
+/// sub-master for hierarchy slaves) until the stop sentinel.
+pub(crate) fn slave_loop(
+    comm: &Comm,
+    ctx: &RunCtx,
+    strategy: Transmission,
+    master: usize,
+) -> Result<(), FarmError> {
+    let master = master as i32;
     loop {
-        let (msg, _st) = comm.recv_obj(0, TAG)?;
+        let (msg, _st) = comm.recv_obj(master, TAG)?;
         if msg.is_empty_matrix() {
             // Stop sentinel.
-            return Ok(done);
+            return Ok(());
         }
         let JobMsg { idx, name } = JobMsg::decode(&msg)
             .ok_or_else(|| FarmError::Protocol(format!("undecodable job request: {msg}")))?;
@@ -213,18 +234,17 @@ fn slave_loop(comm: &Comm, ctx: &RunCtx, strategy: Transmission) -> Result<usize
             Transmission::Nfs => None,
             _ => {
                 // Probe → size buffer → receive → unpack (Fig. 4).
-                let st = comm.probe(0, TAG)?;
+                let st = comm.probe(master, TAG)?;
                 let mut buf = MpiBuf::with_capacity(st.count());
-                comm.recv_into(&mut buf, 0, TAG)?;
+                comm.recv_into(&mut buf, master, TAG)?;
                 Some(comm.unpack(&buf)?)
             }
         };
         let problem = recover_problem_recorded(comm, ctx, strategy, &name, payload.as_ref())?;
         let result = instrument::compute_recorded(comm, ctx, &problem)
             .map_err(|e| FarmError::Io(format!("compute failed: {e}")))?;
-        comm.send_obj(&Answer::priced(idx, &result).to_value(), 0, TAG)?;
+        comm.send_obj(&Answer::priced(idx, &result).to_value(), master, TAG)?;
         comm.set_job(None);
-        done += 1;
     }
 }
 
@@ -273,7 +293,7 @@ fn master_loop(
             ctx.advance(job + 1);
             Ok(())
         },
-        |rank| Ok(comm.send_obj(&Value::empty_matrix(), rank as i32, TAG)?),
+        |rank| send_stop(comm, rank),
     )?;
     Ok(FarmReport {
         outcomes: run.outcomes,
@@ -304,7 +324,7 @@ pub(crate) fn run_farm_inner(
         } else {
             // A slave failure must not silently drop a job: panic and let
             // World poison the group (surfaces as an error at the master).
-            slave_loop(&comm, ctx, strategy).expect("slave failed");
+            slave_loop(&comm, ctx, strategy, 0).expect("slave failed");
             None
         }
     });

@@ -22,16 +22,14 @@
 //! backend: in-process channel worlds ([`minimpi::SpawnedWorld`]) or
 //! real child processes over Unix-domain sockets
 //! ([`minimpi::ProcessWorld`]). The wire protocol (a config frame, then
-//! `JobMsg`/payload/`Answer` rounds, then the empty-matrix stop
-//! sentinel) is byte-identical on both, and prices are bit-identical at
-//! fixed chunk/lanes.
+//! the flat farm's Fig. 4 rounds via [`crate::robin_hood`]'s `send_job`
+//! and `slave_loop`) is byte-identical on both, and prices are
+//! bit-identical at fixed chunk/lanes.
 
 use crate::config::RunCtx;
 use crate::driver::{self, JobMap, RecvStyle};
-use crate::instrument;
-use crate::robin_hood::{FarmError, FarmReport, JobOutcome};
-use crate::strategy::{prepare_payload_recorded, recover_problem_recorded, Transmission};
-use crate::wire::{Answer, JobMsg};
+use crate::robin_hood::{send_job, send_stop, slave_loop, FarmError, FarmReport, JobOutcome, TAG};
+use crate::strategy::Transmission;
 use minimpi::{Comm, MpiBuf, ProcessWorld, SpawnedWorld};
 use nspval::{Hash, Value};
 use sched::{SchedConfig, Trace};
@@ -39,8 +37,6 @@ use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-const TAG: i32 = 11;
 
 /// Which transport the shard farms run their slaves on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -200,33 +196,10 @@ fn shard_slave_body(comm: &Comm) -> Result<(), FarmError> {
     let strategy = cfg_v
         .as_hash()
         .and_then(|h| h.get("strategy"))
-        .and_then(|s| s.as_str().map(str::to_string))
-        .and_then(|l| transmission_of_label(&l))
+        .and_then(|s| s.as_str())
+        .and_then(transmission_of_label)
         .ok_or_else(|| FarmError::Protocol(format!("bad shard config frame: {cfg_v}")))?;
-    let ctx = RunCtx::default_ctx();
-    loop {
-        let (msg, _) = comm.recv_obj(0, TAG)?;
-        if msg.is_empty_matrix() {
-            return Ok(());
-        }
-        let JobMsg { idx, name } = JobMsg::decode(&msg)
-            .ok_or_else(|| FarmError::Protocol(format!("undecodable job request: {msg}")))?;
-        comm.set_job(Some(idx));
-        let payload = match strategy {
-            Transmission::Nfs => None,
-            _ => {
-                let st = comm.probe(0, TAG)?;
-                let mut buf = MpiBuf::with_capacity(st.count());
-                comm.recv_into(&mut buf, 0, TAG)?;
-                Some(comm.unpack(&buf)?)
-            }
-        };
-        let problem = recover_problem_recorded(comm, &ctx, strategy, &name, payload.as_ref())?;
-        let r = instrument::compute_recorded(comm, &ctx, &problem)
-            .map_err(|e| FarmError::Io(format!("compute failed: {e}")))?;
-        comm.send_obj(&Answer::priced(idx, &r).to_value(), 0, TAG)?;
-        comm.set_job(None);
-    }
+    slave_loop(comm, &RunCtx::default_ctx(), strategy, 0)
 }
 
 fn transmission_of_label(label: &str) -> Option<Transmission> {
@@ -435,6 +408,7 @@ fn master_loop(
 
     let mut outcomes: Vec<JobOutcome> = Vec::new();
     let mut traces: Vec<Trace> = Vec::new();
+    let mut scratch = MpiBuf::with_capacity(0);
     loop {
         let round = lease_round(pools, shard, want, cfg.steal, steals);
         if round.is_empty() {
@@ -445,26 +419,6 @@ fn master_loop(
             }
             break;
         }
-
-        let send_one = |local: usize, rank: usize| -> Result<(), FarmError> {
-            let global = round[local];
-            let path = &files[global];
-            comm.set_job(Some(global));
-            // Wire ids are round-local so the scheduler's dense id
-            // space maps through `JobMap::Identity` even for stolen
-            // (non-contiguous) rounds; outcomes are re-mapped below.
-            let msg = JobMsg {
-                idx: local,
-                name: path.to_string_lossy().to_string(),
-            };
-            comm.send_obj(&msg.to_value(), rank as i32, TAG)?;
-            if let Some(payload) = prepare_payload_recorded(comm, &ctx, cfg.strategy, path)? {
-                let packed = comm.pack(&payload);
-                comm.send(packed.bytes(), rank as i32, TAG)?;
-            }
-            comm.set_job(None);
-            Ok(())
-        };
 
         let mut sc = SchedConfig::plain(round.len(), slaves);
         if cfg.record_trace {
@@ -478,7 +432,13 @@ fn master_loop(
             RecvStyle::Obj,
             JobMap::Identity,
             None,
-            |job, rank, _batch| send_one(job, rank),
+            // Wire ids are round-local so the scheduler's dense id
+            // space maps through `JobMap::Identity` even for stolen
+            // (non-contiguous) rounds; outcomes are re-mapped below.
+            |job, rank, _batch| {
+                let path = &files[round[job]];
+                send_job(comm, &ctx, rank, job, path, cfg.strategy, &mut scratch)
+            },
             // Rounds share the slave world: the per-round scheduler's
             // stop is a no-op, the real sentinel goes out after the
             // last round.
@@ -494,7 +454,7 @@ fn master_loop(
     }
 
     for s in 1..=slaves {
-        comm.send_obj(&Value::empty_matrix(), s as i32, TAG)?;
+        send_stop(comm, s)?;
     }
     Ok((outcomes, traces))
 }

@@ -31,7 +31,7 @@ use crate::instrument;
 use crate::portfolio::JobClass;
 use crate::robin_hood::{send_job, FarmError, FarmReport, TAG};
 use crate::strategy::{recover_problem_recorded, Transmission};
-use crate::wire::Answer;
+use crate::wire::{Answer, JobMsg};
 use minimpi::{Comm, FaultPlan, MpiBuf, MpiError, World};
 use obs::Recorder;
 use sched::{SchedConfig, Supervision};
@@ -139,14 +139,11 @@ fn supervised_slave(
         if msg.is_empty_matrix() {
             return Ok(done); // stop sentinel
         }
-        // Name message: [path, job index]. A garbled frame that still
-        // decodes (e.g. a payload whose name message was dropped) cannot
-        // be attributed to a job; drop it and let the deadline requeue.
-        let Some((name, idx)) = msg.as_list().and_then(|l| {
-            let name = l.get(0)?.as_str()?.to_string();
-            let idx = l.get(1)?.as_scalar()? as usize;
-            Some((name, idx))
-        }) else {
+        // Name message ([`JobMsg`]). A frame that unserializes but is no
+        // job request (e.g. a payload whose name message was dropped)
+        // cannot be attributed to a job; drop it and let the deadline
+        // requeue.
+        let Some(JobMsg { idx, name }) = JobMsg::decode(&msg) else {
             continue;
         };
         comm.set_job(Some(idx));

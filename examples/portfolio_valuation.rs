@@ -75,8 +75,11 @@ fn main() {
 
     // The §5 extensions on the same workload.
     println!("\n§5 extensions:");
-    let batched =
-        farm::batching::run_batched_farm(&files, 4, Transmission::SerializedLoad, 8).unwrap();
+    let batched = run(
+        &files,
+        &FarmConfig::new(4, Transmission::SerializedLoad).batch_size(8),
+    )
+    .unwrap();
     println!(
         "  batched farm (batch=8, 4 slaves):      {:?}",
         batched.elapsed

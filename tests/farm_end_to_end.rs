@@ -83,15 +83,29 @@ fn regression_suite_through_the_farm_like_table1() {
 
 #[test]
 fn batched_and_hierarchical_agree_with_flat_farm() {
+    // Flat, hierarchy and shard masters share one Fig. 4 protocol: every
+    // master shape prices bit-identically to serial and reports the
+    // strategy it ran.
     let (files, expected, dir) = setup("variants", 24);
-    let batched =
-        farm::batching::run_batched_farm(&files, 3, Transmission::SerializedLoad, 5).unwrap();
-    let hier =
-        farm::hierarchy::run_hierarchical_farm(&files, 2, 2, Transmission::SerializedLoad).unwrap();
-    for report in [batched, hier] {
-        assert_eq!(report.completed(), 24);
-        for o in &report.outcomes {
-            assert_eq!(o.price.to_bits(), expected[o.job].to_bits());
+    for strategy in Transmission::ALL {
+        let batched = run(&files, &FarmConfig::new(3, strategy).batch_size(5)).unwrap();
+        let hier = farm::hierarchy::run_hierarchical_farm(&files, 2, 2, strategy).unwrap();
+        let mut shard_cfg = farm::ShardConfig::new(2, 2);
+        shard_cfg.strategy = strategy;
+        let sharded = farm::run_sharded(&files, &shard_cfg)
+            .unwrap()
+            .into_farm_report(strategy);
+        for (shape, report) in [("batched", batched), ("hierarchy", hier), ("shard", sharded)] {
+            assert_eq!(report.completed(), 24, "{shape} {strategy}");
+            assert_eq!(report.strategy, strategy, "{shape} reported the wrong strategy");
+            for o in &report.outcomes {
+                assert_eq!(
+                    o.price.to_bits(),
+                    expected[o.job].to_bits(),
+                    "{shape} {strategy}: job {} differs from serial",
+                    o.job
+                );
+            }
         }
     }
     std::fs::remove_dir_all(&dir).ok();
