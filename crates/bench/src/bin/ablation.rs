@@ -8,7 +8,7 @@
 //! 3. **compressed serialization** (§3.2's deferred experiment) — message
 //!    sizes and strategy times with LZSS-compressed problem payloads.
 
-use clustersim::{simulate_farm, NfsCache, SimConfig, SimJob};
+use clustersim::{simulate, SimCaches, SimConfig, SimJob, SimSpec};
 use farm::portfolio::{realistic_portfolio, toy_portfolio, PortfolioScale};
 use farm::{JobClass, Transmission};
 use numerics::rng::SplitMix64;
@@ -37,6 +37,17 @@ fn table3_jobs() -> Vec<SimJob> {
     sim
 }
 
+/// Makespan of one plain farm run from cold caches.
+fn makespan(jobs: &[SimJob], slaves: usize, strategy: Transmission, cfg: &SimConfig) -> f64 {
+    let spec = SimSpec {
+        model: *cfg,
+        ..SimSpec::new(slaves, strategy)
+    };
+    simulate(jobs, &spec, &mut SimCaches::new(), None)
+        .expect("every ablation farm has at least one slave")
+        .makespan
+}
+
 /// Simulate batching by dividing the per-job master/communication
 /// overhead across the batch (one message carries `batch` problems).
 fn simulate_batched(jobs: &[SimJob], slaves: usize, batch: usize, cfg: &SimConfig) -> f64 {
@@ -52,14 +63,7 @@ fn simulate_batched(jobs: &[SimJob], slaves: usize, batch: usize, cfg: &SimConfi
             compute: chunk.iter().map(|j| j.compute).sum(),
         })
         .collect();
-    simulate_farm(
-        &merged,
-        slaves,
-        Transmission::SerializedLoad,
-        cfg,
-        &mut NfsCache::new(),
-    )
-    .makespan
+    makespan(&merged, slaves, Transmission::SerializedLoad, cfg)
 }
 
 fn batching_ablation(cfg: &SimConfig) {
@@ -153,14 +157,7 @@ fn hierarchy_ablation(cfg: &SimConfig) {
                 } else {
                     lo + chunk
                 };
-                let t = simulate_farm(
-                    &jobs[lo..hi],
-                    per_group.max(1),
-                    Transmission::FullLoad,
-                    cfg,
-                    &mut NfsCache::new(),
-                )
-                .makespan;
+                let t = makespan(&jobs[lo..hi], per_group.max(1), Transmission::FullLoad, cfg);
                 worst = worst.max(t);
             }
             line.push_str(&format!(" {worst:>11.4}"));
@@ -215,22 +212,8 @@ fn compression_ablation(cfg: &SimConfig) {
         "CPUs", "plain sload", "compressed sload"
     );
     for cpus in [8usize, 16, 32, 50] {
-        let tp = simulate_farm(
-            &plain_jobs,
-            cpus - 1,
-            Transmission::SerializedLoad,
-            cfg,
-            &mut NfsCache::new(),
-        )
-        .makespan;
-        let tc = simulate_farm(
-            &comp_jobs,
-            cpus - 1,
-            Transmission::SerializedLoad,
-            cfg,
-            &mut NfsCache::new(),
-        )
-        .makespan;
+        let tp = makespan(&plain_jobs, cpus - 1, Transmission::SerializedLoad, cfg);
+        let tc = makespan(&comp_jobs, cpus - 1, Transmission::SerializedLoad, cfg);
         println!("{cpus:>6} | {tp:>14.4} {tc:>17.4}");
     }
     println!(

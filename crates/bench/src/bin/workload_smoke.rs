@@ -19,7 +19,7 @@
 //! Emits a flat-key `JSON:` artifact line that `scripts/ci.sh` captures
 //! as `BENCH_10.json`.
 
-use clustersim::{simulate_farm_sched, SimCaches, SimConfig, SimJob, SimSchedOpts};
+use clustersim::{simulate, SimCaches, SimJob, SimSpec};
 use farm::calibrate::paper_costs;
 use farm::portfolio::{mixed_portfolio, save_portfolio, PortfolioScale};
 use farm::workload::{per_class_compute, Workload};
@@ -111,20 +111,13 @@ fn main() {
         })
         .collect();
     let makespan = |policy: DispatchPolicy| {
-        let (out, _) = simulate_farm_sched(
-            &sim_jobs,
-            SLAVES,
-            fifo_cfg,
-            &SimConfig::default(),
-            &mut SimCaches::new(),
-            None,
-            &SimSchedOpts {
-                policy,
-                ..Default::default()
-            },
-        )
-        .unwrap_or_else(|e| fail(&format!("simulator: {e}")));
-        out.makespan
+        let spec = SimSpec {
+            policy,
+            ..SimSpec::new(SLAVES, fifo_cfg)
+        };
+        simulate(&sim_jobs, &spec, &mut SimCaches::new(), None)
+            .unwrap_or_else(|e| fail(&format!("simulator: {e}")))
+            .makespan
     };
     let fifo_sim = makespan(DispatchPolicy::Fifo);
     let lpt_sim = makespan(lpt);
@@ -185,21 +178,14 @@ fn main() {
             compute: 1.0,
         })
         .collect();
-    let (_, sim_trace) = simulate_farm_sched(
-        &staged_sim_jobs,
-        SLAVES,
-        fifo_cfg,
-        &SimConfig::default(),
-        &mut SimCaches::new(),
-        None,
-        &SimSchedOpts {
-            record_trace: true,
-            rounds: w.rounds().map(|r| r.to_vec()),
-            ..Default::default()
-        },
-    )
-    .unwrap_or_else(|e| fail(&format!("staged sim: {e}")));
-    let sim_trace = sim_trace
+    let staged = SimSpec {
+        record_trace: true,
+        rounds: w.rounds().map(|r| r.to_vec()),
+        ..SimSpec::new(SLAVES, fifo_cfg)
+    };
+    let sim_trace = simulate(&staged_sim_jobs, &staged, &mut SimCaches::new(), None)
+        .unwrap_or_else(|e| fail(&format!("staged sim: {e}")))
+        .trace
         .unwrap_or_else(|| fail("staged sim recorded no trace"))
         .render();
     if live_trace != sim_trace {

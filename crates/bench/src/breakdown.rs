@@ -1,7 +1,7 @@
 //! The `--breakdown` surface shared by the table binaries.
 //!
 //! Replays one CPU count of a table's workload through
-//! [`clustersim::simulate_farm_recorded`] — once per transmission
+//! [`clustersim::simulate`] with a recorder — once per transmission
 //! strategy, each against a *cold* NFS cache so the strategies are
 //! compared on equal footing — aggregates the recorded event stream into
 //! an [`obs::BreakdownReport`], self-checks it (phase seconds within the
@@ -9,7 +9,7 @@
 //! serialized load pays the least problem-acquisition time), and prints
 //! both the fixed-width table and the machine-readable JSON form.
 
-use clustersim::{simulate_farm_sched, DispatchPolicy, SimCaches, SimConfig, SimJob, SimSchedOpts};
+use clustersim::{simulate, DispatchPolicy, SimCaches, SimConfig, SimJob, SimSpec};
 use farm::Transmission;
 use obs::{Breakdown, BreakdownReport, EventKind, Recorder, StrategyBreakdown};
 
@@ -196,22 +196,14 @@ pub fn breakdown_report(
         // One cache state per strategy: the cold run fills it, the
         // optional warm run reuses it.
         let mut caches = SimCaches::new();
-        let fifo = SimSchedOpts::default();
-        let one_run = |label: String,
-                       run_cfg: &SimConfig,
-                       caches: &mut SimCaches,
-                       sched_opts: &SimSchedOpts| {
+        let base = SimSpec {
+            model: cfg,
+            ..SimSpec::new(slaves, strategy)
+        };
+        let one_run = |label: String, spec: &SimSpec, caches: &mut SimCaches| {
             let rec = Recorder::with_capacity(slaves + 1, RING_CAPACITY);
-            let (out, _) = simulate_farm_sched(
-                jobs,
-                slaves,
-                strategy,
-                run_cfg,
-                caches,
-                Some(&rec),
-                sched_opts,
-            )
-            .expect("breakdown scheduling options are always self-consistent");
+            let out = simulate(jobs, spec, caches, Some(&rec))
+                .expect("breakdown scheduling options are always self-consistent");
             StrategyBreakdown {
                 strategy: label,
                 cpus: opts.cpus,
@@ -220,18 +212,14 @@ pub fn breakdown_report(
                 dropped: rec.dropped(),
             }
         };
-        report.runs.push(one_run(
-            strategy.label().to_string(),
-            &cfg,
-            &mut caches,
-            &fifo,
-        ));
+        report
+            .runs
+            .push(one_run(strategy.label().to_string(), &base, &mut caches));
         if opts.warm {
             report.runs.push(one_run(
                 format!("{} (warm)", strategy.label()),
-                &cfg,
+                &base,
                 &mut caches,
-                &fifo,
             ));
         }
         if opts.threads > 1 {
@@ -239,9 +227,11 @@ pub fn breakdown_report(
             // baseline, so the only variable is the executor.
             report.runs.push(one_run(
                 format!("{} (x{} threads)", strategy.label(), opts.threads),
-                &cfg_thr,
+                &SimSpec {
+                    model: cfg_thr,
+                    ..base.clone()
+                },
                 &mut SimCaches::new(),
-                &fifo,
             ));
         }
         if opts.lanes > 1 {
@@ -249,26 +239,27 @@ pub fn breakdown_report(
             // threaded row (or sequential when --threads is absent).
             report.runs.push(one_run(
                 lane_label(strategy, opts),
-                &cfg_lane,
+                &SimSpec {
+                    model: cfg_lane,
+                    ..base.clone()
+                },
                 &mut SimCaches::new(),
-                &fifo,
             ));
         }
         if opts.order_lpt {
             // LPT run from cold caches: the only variable is the queue
             // order, fed with the jobs' own (here: exact) costs, the way
             // `FarmConfig::order` feeds a calibrated CostModel estimate.
-            let lpt = SimSchedOpts {
+            let lpt = SimSpec {
                 policy: DispatchPolicy::Lpt {
                     costs: jobs.iter().map(|j| j.compute).collect(),
                 },
-                ..SimSchedOpts::default()
+                ..base.clone()
             };
             report.runs.push(one_run(
                 format!("{} (lpt)", strategy.label()),
-                &cfg,
-                &mut SimCaches::new(),
                 &lpt,
+                &mut SimCaches::new(),
             ));
         }
     }

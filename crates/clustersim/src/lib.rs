@@ -20,7 +20,14 @@
 //!   and the job's compute cost, drawn per §4.3 class from a calibrated
 //!   [`farm::calibrate::CostModel`].
 //!
-//! [`tables`] assembles this into the generators for Tables I, II and III.
+//! [`simulate`] is the one replay entry point: a [`SimSpec`] names the
+//! farm (slaves, strategy), the performance model and the scheduler's
+//! knobs (dispatch policy, supervision, scripted faults, staged rounds,
+//! decision trace); [`SimCaches`] carries the NFS and client caches
+//! across calls; an optional `obs::Recorder` receives the live farm's
+//! event schema. [`tables`] assembles it into the generators for
+//! Tables I, II and III, and [`simulate_sharded`] replays sharded peer
+//! masters as one [`simulate`] call per lease round.
 //!
 //! [`simulate_serve`] layers the live `serve::Session` front loop on
 //! top: an open-loop arrival stream with per-priority admission shares,
@@ -30,7 +37,6 @@
 //! alike.
 
 #![warn(missing_docs)]
-#![allow(clippy::too_many_arguments)]
 
 pub mod params;
 pub mod resource;
@@ -43,9 +49,8 @@ pub use params::{
 };
 pub use sched::{DispatchPolicy, SchedError, Supervision, Trace};
 pub use sim::{
-    simulate_farm, simulate_farm_cached, simulate_farm_recorded, simulate_farm_sched,
-    simulate_serve, simulate_sharded, ClientCache, NfsCache, ServeSimOutcome, ShardSimConfig,
-    ShardSimOutcome, SimCaches, SimFault, SimJob, SimOutcome, SimRequest, SimSchedOpts,
+    simulate, simulate_serve, simulate_sharded, FileCache, ServeSimOutcome, ShardSimConfig,
+    ShardSimOutcome, SimCaches, SimFault, SimJob, SimOutcome, SimRequest, SimSpec,
 };
 pub use tables::{
     format_table, speedup_ratio, table1_rows, table1_sim_jobs, table2_rows, table2_sim_jobs,

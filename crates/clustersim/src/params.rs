@@ -170,14 +170,6 @@ pub struct ExecParams {
     /// allocating `spawn_overhead`, which it *replaces* when
     /// `lanes >= 2`.
     pub workspace_overhead: f64,
-    /// When `true`, the executor model applies **per class**: only jobs
-    /// whose class routes through a path-chunked kernel on the live
-    /// farm (`JobClass::chunked_kernel`) get the thread/lane speedup;
-    /// closed-form, PDE and tree jobs keep their sequential cost. This
-    /// is the honest model for heterogeneous mixed-class workloads.
-    /// **Off** by default so the historical uniform model (and every
-    /// committed table) is unchanged bit for bit.
-    pub per_class: bool,
 }
 
 impl Default for ExecParams {
@@ -189,7 +181,6 @@ impl Default for ExecParams {
             lanes: 1,
             lane_fraction: 0.9,
             workspace_overhead: 0.005e-3,
-            per_class: false,
         }
     }
 }
@@ -237,17 +228,6 @@ impl ExecParams {
         };
         let wall = compute - parallel + laned / self.threads.max(1) as f64 + overhead;
         (wall, laned)
-    }
-
-    /// [`Self::apply`] gated by the job's class: with `per_class` set,
-    /// only chunked-kernel jobs (`chunked == true`) see the executor
-    /// speedup; otherwise every job does, as the uniform model always
-    /// did.
-    pub fn apply_classed(&self, chunked: bool, compute: f64) -> (f64, f64) {
-        if self.per_class && !chunked {
-            return (compute, 0.0);
-        }
-        self.apply(compute)
     }
 }
 
@@ -392,28 +372,6 @@ mod tests {
             let want_wall = 20.0 - parallel + parallel / threads as f64 + e.spawn_overhead;
             assert_eq!(e.apply(20.0), (want_wall, parallel));
         }
-    }
-
-    #[test]
-    fn per_class_gating_spares_sequential_classes_only() {
-        // Off by default: classed apply is the uniform apply.
-        let uniform = ExecParams {
-            threads: 8,
-            lanes: 4,
-            ..ExecParams::default()
-        };
-        assert!(!uniform.per_class);
-        for chunked in [false, true] {
-            assert_eq!(uniform.apply_classed(chunked, 3.0), uniform.apply(3.0));
-        }
-        // On: sequential classes keep their cost, chunked classes speed up.
-        let classed = ExecParams {
-            per_class: true,
-            ..uniform
-        };
-        assert_eq!(classed.apply_classed(false, 3.0), (3.0, 0.0));
-        assert_eq!(classed.apply_classed(true, 3.0), uniform.apply(3.0));
-        assert!(classed.apply_classed(true, 3.0).0 < 3.0);
     }
 
     #[test]

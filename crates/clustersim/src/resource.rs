@@ -12,7 +12,7 @@ pub struct Resource {
 }
 
 impl Resource {
-    /// Construct with validation; panics on invalid parameters.
+    /// An idle resource with no accumulated busy time.
     pub fn new() -> Self {
         Resource {
             free_at: 0.0,
@@ -30,20 +30,9 @@ impl Resource {
         self.free_at
     }
 
-    /// Earliest time new work could start.
-    pub fn free_at(&self) -> f64 {
-        self.free_at
-    }
-
     /// Total busy time accumulated (utilisation numerator).
     pub fn busy_total(&self) -> f64 {
         self.busy_total
-    }
-
-    /// Clear all accumulated state.
-    pub fn reset(&mut self) {
-        self.free_at = 0.0;
-        self.busy_total = 0.0;
     }
 }
 
@@ -66,15 +55,7 @@ mod tests {
     fn zero_duration_is_allowed() {
         let mut r = Resource::new();
         assert_eq!(r.acquire(5.0, 0.0), 5.0);
-        assert_eq!(r.free_at(), 5.0);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut r = Resource::new();
-        r.acquire(0.0, 7.0);
-        r.reset();
-        assert_eq!(r.free_at(), 0.0);
-        assert_eq!(r.busy_total(), 0.0);
+        // The empty span still moved the resource's clock to 5.
+        assert_eq!(r.acquire(0.0, 1.0), 6.0);
     }
 }

@@ -36,56 +36,16 @@ pub struct SimJob {
     pub compute: f64,
 }
 
-/// NFS server block cache, shared across consecutive simulated runs —
-/// this is what makes the §4.2 "huge difference in computation time
-/// between 2 and 4 nodes" reproducible: the first sweep point warms the
-/// cache for the rest.
+/// A set of problem files already resident in one cache. [`SimCaches`]
+/// holds two: the NFS server's block cache and the farm's client-side
+/// problem cache.
 #[derive(Debug, Default, Clone)]
-pub struct NfsCache {
-    blocks: HashSet<usize>,
-}
-
-impl NfsCache {
-    /// Construct with validation; panics on invalid parameters.
-    pub fn new() -> Self {
-        NfsCache::default()
-    }
-
-    /// Record an access; returns true if it was already cached.
-    fn access(&mut self, file: usize) -> bool {
-        !self.blocks.insert(file)
-    }
-
-    /// Number of contained elements.
-    pub fn len(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// True when there are no elements.
-    pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
-    }
-}
-
-/// The client-side problem cache (the `store` crate's [`CachingStore`]
-/// as the simulator models it): a set of problem files already resident
-/// on the farm side. Unlike [`NfsCache`] — which lives on the *server*
-/// and only accelerates the NFS strategy's reads — this one sits in
-/// front of every fetch the farm makes, whichever strategy runs.
-///
-/// [`CachingStore`]: https://docs.rs/store
-#[derive(Debug, Default, Clone)]
-pub struct ClientCache {
+pub struct FileCache {
     files: HashSet<usize>,
 }
 
-impl ClientCache {
-    /// A fresh, empty cache.
-    pub fn new() -> Self {
-        ClientCache::default()
-    }
-
-    /// Record an access; returns true if it was already cached.
+impl FileCache {
+    /// Record an access; returns true if the file was already resident.
     fn access(&mut self, file: usize) -> bool {
         !self.files.insert(file)
     }
@@ -101,15 +61,19 @@ impl ClientCache {
     }
 }
 
-/// Both caches a simulated run can carry across calls: the NFS server's
-/// block cache and the farm's client-side problem cache. Pass the same
+/// Both caches a simulated run can carry across calls. Pass the same
 /// value again to model a warm re-run; pass a fresh one for cold.
 #[derive(Debug, Default, Clone)]
 pub struct SimCaches {
-    /// NFS server block cache (server side).
-    pub nfs: NfsCache,
-    /// Problem-store cache (client side).
-    pub client: ClientCache,
+    /// NFS server block cache: only the NFS strategy's slave reads touch
+    /// it. Kept across consecutive runs, it makes the §4.2 "huge
+    /// difference in computation time between 2 and 4 nodes"
+    /// reproducible: the first sweep point warms it for the rest.
+    pub nfs: FileCache,
+    /// Client-side problem cache (`store::CachingStore` as the simulator
+    /// models it): with `StoreParams::client_cache` on, it sits in front
+    /// of every fetch the farm makes, whichever strategy runs.
+    pub client: FileCache,
 }
 
 impl SimCaches {
@@ -129,9 +93,12 @@ pub struct SimOutcome {
     /// Fraction of the run the master spent busy (the §4.2/§5 bottleneck
     /// diagnostic).
     pub master_utilisation: f64,
+    /// The scheduler's timestamp-free decision trace, when
+    /// [`SimSpec::record_trace`] is set.
+    pub trace: Option<Trace>,
 }
 
-/// A scripted slave death for [`simulate_farm_sched`]: the simulated
+/// A scripted slave death for [`simulate`]: the simulated
 /// counterpart of `minimpi`'s `FaultPlan::kill_rank_at_op`. The slave
 /// computes its fatal job in full but dies *sending the result* — the
 /// answer never reaches the master, whose liveness sweep notices the
@@ -148,19 +115,23 @@ pub struct SimFault {
     pub detect_delay_s: f64,
 }
 
-/// Scheduling options for [`simulate_farm_sched`]: which
-/// [`DispatchPolicy`] orders the queue, whether the supervised master
-/// (deadlines, retries, burial) runs, whether the decision [`Trace`] is
-/// recorded, and any scripted [`SimFault`]s. The default — FIFO,
-/// unsupervised, untraced, fault-free — is the plain Fig. 4 master that
-/// [`simulate_farm_cached`] and friends replay.
+/// One simulated farm run: the farm's shape, the performance model and
+/// the scheduler's knobs. [`SimSpec::new`] gives the plain Fig. 4
+/// master — FIFO, unsupervised, untraced, fault-free, flat — on the
+/// default model; set other fields with struct-update syntax.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SimSchedOpts {
+pub struct SimSpec {
+    /// Worker ranks (the paper's tables count `slaves + 1` CPUs).
+    pub slaves: usize,
+    /// How problems reach the slaves.
+    pub strategy: Transmission,
+    /// The performance model.
+    pub model: SimConfig,
     /// Dispatch order for queued jobs.
     pub policy: DispatchPolicy,
     /// `Some` runs the supervised master; required for `faults`.
     pub supervision: Option<Supervision>,
-    /// Record the scheduler's timestamp-free decision trace.
+    /// Record the scheduler's decision trace into [`SimOutcome::trace`].
     pub record_trace: bool,
     /// Scripted slave deaths (at most one can fire per slave).
     pub faults: Vec<SimFault>,
@@ -171,9 +142,13 @@ pub struct SimSchedOpts {
     pub rounds: Option<Vec<usize>>,
 }
 
-impl Default for SimSchedOpts {
-    fn default() -> Self {
-        SimSchedOpts {
+impl SimSpec {
+    /// The plain Fig. 4 master on `slaves` slaves over the default model.
+    pub fn new(slaves: usize, strategy: Transmission) -> Self {
+        SimSpec {
+            slaves,
+            strategy,
+            model: SimConfig::default(),
             policy: DispatchPolicy::Fifo,
             supervision: None,
             record_trace: false,
@@ -203,99 +178,53 @@ impl Ord for Time {
 
 /// Replay one Robin-Hood farm run.
 ///
-/// `slaves` is the number of worker ranks (the paper's tables count
-/// `slaves + 1` CPUs). The NFS cache persists across calls when the same
-/// `cache` is passed again — pass a fresh one for a cold run.
-pub fn simulate_farm(
-    jobs: &[SimJob],
-    slaves: usize,
-    strategy: Transmission,
-    cfg: &SimConfig,
-    cache: &mut NfsCache,
-) -> SimOutcome {
-    simulate_farm_recorded(jobs, slaves, strategy, cfg, cache, None)
-}
-
-/// [`simulate_farm`] with phase-level observability: every simulated
-/// phase lands in `recorder` as the *same* [`obs::EventKind`] stream the
-/// live instrumented farm produces (master prep as `Serialize`/`Sload`,
-/// NIC occupancy as `Send`, slave-side `Probe`/`Recv`/`Unpack` or
-/// `NfsRead`, then `Compute` and the reply), with simulated seconds
-/// mapped to nanosecond timestamps. This makes simulated and live runs
-/// diffable per phase through one [`obs::Breakdown`] aggregator.
+/// Every dispatch decision comes from the [`sched::Scheduler`] configured
+/// by `spec`; the performance model in `spec.model` prices each one. The
+/// caches persist across calls when the same `caches` is passed again —
+/// pass fresh ones for a cold run.
 ///
-/// Rank convention matches the live farm: rank 0 is the master, slave
-/// *s* is rank `s + 1` — size the recorder with at least `slaves + 1`
+/// With a `recorder`, every simulated phase lands in it as the *same*
+/// [`obs::EventKind`] stream the live instrumented farm produces (master
+/// prep as `Serialize`/`Sload`, NIC occupancy as `Send`, slave-side
+/// `Probe`/`Recv`/`Unpack` or `NfsRead`, then `Compute` and the reply),
+/// with simulated seconds mapped to nanosecond timestamps, so simulated
+/// and live runs are diffable per phase through one [`obs::Breakdown`].
+/// When `client_cache` is on, every fetch also lands as a zero-duration
+/// `CacheHit`/`CacheMiss` mark on the rank that fetched (master for
+/// loaded strategies, the slave for NFS). Rank 0 is the master and slave
+/// *s* is rank `s + 1`: size the recorder with at least `slaves + 1`
 /// ranks.
-pub fn simulate_farm_recorded(
-    jobs: &[SimJob],
-    slaves: usize,
-    strategy: Transmission,
-    cfg: &SimConfig,
-    cache: &mut NfsCache,
-    recorder: Option<&Recorder>,
-) -> SimOutcome {
-    let mut caches = SimCaches {
-        nfs: std::mem::take(cache),
-        client: ClientCache::new(),
-    };
-    let out = simulate_farm_cached(jobs, slaves, strategy, cfg, &mut caches, recorder);
-    *cache = caches.nfs;
-    out
-}
-
-/// [`simulate_farm_recorded`] with the full cache state: the NFS server
-/// block cache *and* the client-side problem cache persist across calls
-/// through `caches`, so warm-store re-runs (`SimConfig::store` with
-/// `client_cache` on) and compressed-wire runs can be replayed at
-/// cluster scale. With the default [`crate::params::StoreParams`] (both
-/// knobs off) this is bit-identical to [`simulate_farm_recorded`].
 ///
-/// When `client_cache` is on, every fetch additionally lands in the
-/// recorder as a zero-duration `CacheHit`/`CacheMiss` mark on the rank
-/// that fetched (master for loaded strategies, the slave for NFS) —
-/// the same schema the live farm emits through a `CachingStore`.
-pub fn simulate_farm_cached(
+/// # Errors
+///
+/// The scheduler's configuration errors, e.g. [`SchedError::NoSlaves`]
+/// for `slaves == 0` or a `rounds` vector of the wrong length.
+///
+/// # Panics
+///
+/// When `spec.faults` is non-empty without `spec.supervision`: the plain
+/// master would wait forever for a dead slave's answer.
+pub fn simulate(
     jobs: &[SimJob],
-    slaves: usize,
-    strategy: Transmission,
-    cfg: &SimConfig,
+    spec: &SimSpec,
     caches: &mut SimCaches,
     recorder: Option<&Recorder>,
-) -> SimOutcome {
-    let (out, _) = simulate_farm_sched(
-        jobs,
-        slaves,
-        strategy,
-        cfg,
-        caches,
-        recorder,
-        &SimSchedOpts::default(),
-    )
-    .expect("the default scheduling options are always valid");
-    out
-}
-
-/// [`simulate_farm_cached`] with the scheduler exposed: the same
-/// performance model, but the dispatch decisions — order, supervision,
-/// scripted slave deaths — come from [`SimSchedOpts`], and the
-/// scheduler's timestamp-free decision [`Trace`] is returned alongside
-/// the outcome when `opts.record_trace` is set. With the default
-/// options this is bit-identical to [`simulate_farm_cached`].
-pub fn simulate_farm_sched(
-    jobs: &[SimJob],
-    slaves: usize,
-    strategy: Transmission,
-    cfg: &SimConfig,
-    caches: &mut SimCaches,
-    recorder: Option<&Recorder>,
-    opts: &SimSchedOpts,
-) -> Result<(SimOutcome, Option<Trace>), SchedError> {
-    assert!(slaves >= 1, "need at least one slave");
+) -> Result<SimOutcome, SchedError> {
     assert!(
-        opts.faults.is_empty() || opts.supervision.is_some(),
+        spec.faults.is_empty() || spec.supervision.is_some(),
         "scripted slave deaths require supervision (the plain master would hang)"
     );
+    // The scheduler: the same pure state machine the live masters drive.
+    let mut sched = Scheduler::new(SchedConfig {
+        jobs: jobs.len(),
+        slaves: spec.slaves,
+        batch: 1,
+        policy: spec.policy.clone(),
+        supervision: spec.supervision,
+        rounds: spec.rounds.clone(),
+        record_trace: spec.record_trace,
+    })?;
+    let (slaves, strategy, cfg) = (spec.slaves, spec.strategy, &spec.model);
     // Simulated-seconds → event-record adapter. All events funnel through
     // here so disabling the recorder costs exactly one branch.
     let emit = |kind: EventKind, rank: usize, job: i64, start_s: f64, dur_s: f64, bytes: usize| {
@@ -522,9 +451,7 @@ pub fn simulate_farm_sched(
         // routes the path-chunked Monte-Carlo/LSM kernels through the
         // executor (`JobClass::chunked_kernel`), which is exactly the
         // compute the simulator's per-class costs stand in for.
-        let (compute_wall, chunk_cpu) = cfg
-            .exec
-            .apply_classed(job.class.chunked_kernel(), job.compute);
+        let (compute_wall, chunk_cpu) = cfg.exec.apply(job.compute);
         let done = slave_res[s].acquire(t, compute_wall + cfg.slave.result_prep);
         let compute_start = done - compute_wall - cfg.slave.result_prep;
         emit(
@@ -577,16 +504,6 @@ pub fn simulate_farm_sched(
         done + result_wire
     };
 
-    // The scheduler: the same pure state machine the live masters drive.
-    let mut sched = Scheduler::new(SchedConfig {
-        jobs: jobs.len(),
-        slaves,
-        batch: 1,
-        policy: opts.policy.clone(),
-        supervision: opts.supervision,
-        rounds: opts.rounds.clone(),
-        record_trace: opts.record_trace,
-    })?;
     // Per-slave dispatch counter, for matching scripted faults.
     let mut dispatched = vec![0usize; slaves];
     let ns = |t: f64| -> u64 { (t * 1e9) as u64 };
@@ -610,7 +527,7 @@ pub fn simulate_farm_sched(
                     let nth = dispatched[s];
                     dispatched[s] += 1;
                     let arrival = dispatch(&jobs[job], s, now, master, nfs, slave_res, caches);
-                    let fault = opts
+                    let fault = spec
                         .faults
                         .iter()
                         .find(|f| f.slave == s && f.fatal_dispatch == nth);
@@ -668,7 +585,7 @@ pub fn simulate_farm_sched(
     let mut idle_step = 1e-3;
     while !sched.is_terminal() {
         let Some(Reverse((Time(t), s, kind, job))) = heap.pop() else {
-            if opts.supervision.is_none() {
+            if spec.supervision.is_none() {
                 break; // plain runs finish through the answer stream alone
             }
             now += idle_step;
@@ -689,7 +606,7 @@ pub fn simulate_farm_sched(
         };
         idle_step = 1e-3;
         now = now.max(t);
-        if opts.supervision.is_some() {
+        if spec.supervision.is_some() {
             let acts = sched.on(SchedEvent::Deadline, ns(now));
             run_actions(
                 acts,
@@ -754,14 +671,12 @@ pub fn simulate_farm_sched(
     } else {
         0.0
     };
-    Ok((
-        SimOutcome {
-            makespan,
-            per_slave,
-            master_utilisation: util,
-        },
-        sched.take_trace(),
-    ))
+    Ok(SimOutcome {
+        makespan,
+        per_slave,
+        master_utilisation: util,
+        trace: sched.take_trace(),
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -806,8 +721,7 @@ pub struct ShardSimOutcome {
 /// break on the lowest shard index — so sweep tables are reproducible.
 ///
 /// With `shards == 1` and `lease == 0` this is one plain farm run: the
-/// outcome is bit-identical to [`simulate_farm_cached`] on the same
-/// jobs. This is how Tables I–III extend to 512-core sharded runs (64
+/// outcome is bit-identical to [`simulate`] on the same jobs. This is how Tables I–III extend to 512-core sharded runs (64
 /// peer masters × 8 slaves) without a global master in the model.
 pub fn simulate_sharded(
     jobs: &[SimJob],
@@ -834,6 +748,10 @@ pub fn simulate_sharded(
 
     let mut t = vec![0.0f64; shards];
     let mut caches: Vec<SimCaches> = (0..shards).map(|_| SimCaches::new()).collect();
+    let spec = SimSpec {
+        model: *sim,
+        ..SimSpec::new(cfg.slaves_per_shard, strategy)
+    };
     let mut out = ShardSimOutcome {
         makespan: 0.0,
         per_shard_jobs: vec![0; shards],
@@ -865,14 +783,8 @@ pub fn simulate_sharded(
             pools[victim].drain(at..).collect()
         };
         let round_jobs: Vec<SimJob> = round.iter().map(|&i| jobs[i]).collect();
-        let run = simulate_farm_cached(
-            &round_jobs,
-            cfg.slaves_per_shard,
-            strategy,
-            sim,
-            &mut caches[s],
-            None,
-        );
+        let run = simulate(&round_jobs, &spec, &mut caches[s], None)
+            .expect("a plain run on at least one slave is always valid");
         t[s] += run.makespan;
         out.per_shard_jobs[s] += round.len();
         out.per_shard_time[s] = t[s];
@@ -973,6 +885,10 @@ pub fn simulate_serve(
     // The resident world's caches persist across batches, exactly as a
     // live session's slaves keep their NFS client state warm.
     let mut caches = SimCaches::new();
+    let spec = SimSpec {
+        model: *cfg,
+        ..SimSpec::new(slaves, strategy)
+    };
     let mut memo: HashSet<usize> = HashSet::new();
 
     let mut clock = 0.0f64;
@@ -1023,16 +939,8 @@ pub fn simulate_serve(
             }
         }
         if !unique.is_empty() {
-            let (batch_out, _) = simulate_farm_sched(
-                &unique,
-                slaves,
-                strategy,
-                cfg,
-                &mut caches,
-                None,
-                &SimSchedOpts::default(),
-            )
-            .expect("default scheduling options are always valid");
+            let batch_out = simulate(&unique, &spec, &mut caches, None)
+                .expect("a plain run on at least one slave is always valid");
             clock += batch_out.makespan;
             out.computed += unique.len();
             for job in &unique {
@@ -1077,16 +985,22 @@ mod tests {
         SimConfig::default()
     }
 
+    fn spec(slaves: usize, strategy: Transmission, model: SimConfig) -> SimSpec {
+        SimSpec {
+            model,
+            ..SimSpec::new(slaves, strategy)
+        }
+    }
+
+    /// One run from cold caches, unrecorded.
+    fn cold_run(jobs: &[SimJob], spec: &SimSpec) -> SimOutcome {
+        simulate(jobs, spec, &mut SimCaches::new(), None).unwrap()
+    }
+
     #[test]
     fn single_slave_time_is_roughly_serial_sum() {
         let jobs = cheap_jobs(1000, 1e-3);
-        let out = simulate_farm(
-            &jobs,
-            1,
-            Transmission::SerializedLoad,
-            &cfg(),
-            &mut NfsCache::new(),
-        );
+        let out = cold_run(&jobs, &SimSpec::new(1, Transmission::SerializedLoad));
         // ≥ total compute, ≤ total compute + modest overhead.
         assert!(out.makespan >= 1.0, "makespan {}", out.makespan);
         assert!(out.makespan < 1.6, "makespan {}", out.makespan);
@@ -1104,22 +1018,8 @@ mod tests {
                 compute: 20.0,
             })
             .collect();
-        let t1 = simulate_farm(
-            &jobs,
-            1,
-            Transmission::SerializedLoad,
-            &cfg(),
-            &mut NfsCache::new(),
-        )
-        .makespan;
-        let t16 = simulate_farm(
-            &jobs,
-            16,
-            Transmission::SerializedLoad,
-            &cfg(),
-            &mut NfsCache::new(),
-        )
-        .makespan;
+        let t1 = cold_run(&jobs, &SimSpec::new(1, Transmission::SerializedLoad)).makespan;
+        let t16 = cold_run(&jobs, &SimSpec::new(16, Transmission::SerializedLoad)).makespan;
         let speedup = t1 / t16;
         assert!(speedup > 15.0, "speedup {speedup}");
     }
@@ -1129,22 +1029,8 @@ mod tests {
         // Sub-millisecond jobs: the master serialises all sends, so
         // adding slaves beyond a few must not help (§4.2's regime).
         let jobs = cheap_jobs(5000, 0.3e-3);
-        let t4 = simulate_farm(
-            &jobs,
-            4,
-            Transmission::FullLoad,
-            &cfg(),
-            &mut NfsCache::new(),
-        )
-        .makespan;
-        let t50 = simulate_farm(
-            &jobs,
-            50,
-            Transmission::FullLoad,
-            &cfg(),
-            &mut NfsCache::new(),
-        )
-        .makespan;
+        let t4 = cold_run(&jobs, &SimSpec::new(4, Transmission::FullLoad)).makespan;
+        let t50 = cold_run(&jobs, &SimSpec::new(50, Transmission::FullLoad)).makespan;
         assert!(
             t50 > 0.6 * t4,
             "full-load farm kept scaling implausibly: t4={t4} t50={t50}"
@@ -1154,20 +1040,8 @@ mod tests {
     #[test]
     fn full_load_costs_master_more_than_sload() {
         let jobs = cheap_jobs(5000, 0.3e-3);
-        let full = simulate_farm(
-            &jobs,
-            20,
-            Transmission::FullLoad,
-            &cfg(),
-            &mut NfsCache::new(),
-        );
-        let sload = simulate_farm(
-            &jobs,
-            20,
-            Transmission::SerializedLoad,
-            &cfg(),
-            &mut NfsCache::new(),
-        );
+        let full = cold_run(&jobs, &SimSpec::new(20, Transmission::FullLoad));
+        let sload = cold_run(&jobs, &SimSpec::new(20, Transmission::SerializedLoad));
         assert!(
             sload.makespan < full.makespan,
             "sload {} !< full {}",
@@ -1179,26 +1053,21 @@ mod tests {
     #[test]
     fn nfs_cache_warms_across_runs() {
         let jobs = cheap_jobs(2000, 0.3e-3);
-        let mut cache = NfsCache::new();
-        let cold = simulate_farm(&jobs, 1, Transmission::Nfs, &cfg(), &mut cache).makespan;
-        let warm = simulate_farm(&jobs, 1, Transmission::Nfs, &cfg(), &mut cache).makespan;
+        let nfs = SimSpec::new(1, Transmission::Nfs);
+        let mut caches = SimCaches::new();
+        let cold = simulate(&jobs, &nfs, &mut caches, None).unwrap().makespan;
+        let warm = simulate(&jobs, &nfs, &mut caches, None).unwrap().makespan;
         assert!(
             warm < cold * 0.7,
             "cache had no effect: cold {cold} warm {warm}"
         );
-        assert_eq!(cache.len(), 2000);
+        assert_eq!(caches.nfs.len(), 2000);
     }
 
     #[test]
     fn work_is_balanced_for_homogeneous_jobs() {
         let jobs = cheap_jobs(1000, 5e-3);
-        let out = simulate_farm(
-            &jobs,
-            10,
-            Transmission::SerializedLoad,
-            &cfg(),
-            &mut NfsCache::new(),
-        );
+        let out = cold_run(&jobs, &SimSpec::new(10, Transmission::SerializedLoad));
         let total: usize = out.per_slave.iter().sum();
         assert_eq!(total, 1000);
         for &c in &out.per_slave {
@@ -1210,13 +1079,7 @@ mod tests {
     fn makespan_bounded_below_by_longest_job() {
         let mut jobs = cheap_jobs(50, 1e-3);
         jobs[17].compute = 33.0;
-        let out = simulate_farm(
-            &jobs,
-            64,
-            Transmission::SerializedLoad,
-            &cfg(),
-            &mut NfsCache::new(),
-        );
+        let out = cold_run(&jobs, &SimSpec::new(64, Transmission::SerializedLoad));
         assert!(out.makespan >= 33.0);
         assert!(out.makespan < 34.0);
     }
@@ -1224,13 +1087,7 @@ mod tests {
     #[test]
     fn master_utilisation_reported() {
         let jobs = cheap_jobs(2000, 0.2e-3);
-        let out = simulate_farm(
-            &jobs,
-            40,
-            Transmission::FullLoad,
-            &cfg(),
-            &mut NfsCache::new(),
-        );
+        let out = cold_run(&jobs, &SimSpec::new(40, Transmission::FullLoad));
         assert!(
             out.master_utilisation > 0.5,
             "util {}",
@@ -1244,13 +1101,7 @@ mod tests {
                 compute: 30.0,
             })
             .collect();
-        let out2 = simulate_farm(
-            &heavy,
-            4,
-            Transmission::SerializedLoad,
-            &cfg(),
-            &mut NfsCache::new(),
-        );
+        let out2 = cold_run(&heavy, &SimSpec::new(4, Transmission::SerializedLoad));
         assert!(
             out2.master_utilisation < 0.05,
             "util {}",
@@ -1263,16 +1114,15 @@ mod tests {
         use std::collections::BTreeSet;
         let jobs = cheap_jobs(12, 2e-3);
         for strategy in Transmission::ALL {
-            let plain = simulate_farm(&jobs, 2, strategy, &cfg(), &mut NfsCache::new());
+            let plain = cold_run(&jobs, &SimSpec::new(2, strategy));
             let rec = Recorder::new(3);
-            let recorded = simulate_farm_recorded(
+            let recorded = simulate(
                 &jobs,
-                2,
-                strategy,
-                &cfg(),
-                &mut NfsCache::new(),
+                &SimSpec::new(2, strategy),
+                &mut SimCaches::new(),
                 Some(&rec),
-            );
+            )
+            .unwrap();
             // Observability must not perturb the simulated schedule.
             assert_eq!(plain, recorded, "{strategy}");
             let events = rec.events();
@@ -1333,30 +1183,18 @@ mod tests {
     }
 
     #[test]
-    fn store_knobs_off_is_bit_identical_to_base_model() {
-        let jobs = cheap_jobs(500, 0.5e-3);
-        for strategy in Transmission::ALL {
-            let base = simulate_farm(&jobs, 4, strategy, &cfg(), &mut NfsCache::new());
-            let via_cached =
-                simulate_farm_cached(&jobs, 4, strategy, &cfg(), &mut SimCaches::new(), None);
-            assert_eq!(base, via_cached, "{strategy}");
-        }
-    }
-
-    #[test]
     fn warm_client_cache_cuts_prepare_not_compute() {
         use obs::Breakdown;
         let jobs = cheap_jobs(800, 0.5e-3);
         let mut config = cfg();
         config.store.client_cache = true;
         for strategy in Transmission::ALL {
+            let spec = spec(2, strategy, config);
             let mut caches = SimCaches::new();
             let rec_cold = Recorder::with_capacity(3, 1 << 16);
-            let cold =
-                simulate_farm_cached(&jobs, 2, strategy, &config, &mut caches, Some(&rec_cold));
+            let cold = simulate(&jobs, &spec, &mut caches, Some(&rec_cold)).unwrap();
             let rec_warm = Recorder::with_capacity(3, 1 << 16);
-            let warm =
-                simulate_farm_cached(&jobs, 2, strategy, &config, &mut caches, Some(&rec_warm));
+            let warm = simulate(&jobs, &spec, &mut caches, Some(&rec_warm)).unwrap();
             let bd_cold = Breakdown::from_events(&rec_cold.events());
             let bd_warm = Breakdown::from_events(&rec_warm.events());
             assert!(
@@ -1394,14 +1232,13 @@ mod tests {
         config.network.bandwidth = 10e6; // stress the link
         let record = |c: &SimConfig| {
             let rec = Recorder::with_capacity(3, 1 << 16);
-            let out = simulate_farm_cached(
+            let out = simulate(
                 &jobs,
-                2,
-                Transmission::SerializedLoad,
-                c,
+                &spec(2, Transmission::SerializedLoad, *c),
                 &mut SimCaches::new(),
                 Some(&rec),
-            );
+            )
+            .unwrap();
             (out, Breakdown::from_events(&rec.events()))
         };
         let (raw_out, raw_bd) = record(&config);
@@ -1431,21 +1268,8 @@ mod tests {
         let mut config = cfg();
         config.store.compress = true;
         config.store.compress_threshold = 4096; // above the payloads
-        let plain = simulate_farm(
-            &jobs,
-            2,
-            Transmission::SerializedLoad,
-            &cfg(),
-            &mut NfsCache::new(),
-        );
-        let gated = simulate_farm_cached(
-            &jobs,
-            2,
-            Transmission::SerializedLoad,
-            &config,
-            &mut SimCaches::new(),
-            None,
-        );
+        let plain = cold_run(&jobs, &SimSpec::new(2, Transmission::SerializedLoad));
+        let gated = cold_run(&jobs, &spec(2, Transmission::SerializedLoad, config));
         assert_eq!(plain, gated, "threshold gate leaked compression");
     }
 
@@ -1461,8 +1285,8 @@ mod tests {
         let mut config = cfg();
         config.exec = crate::params::ExecParams::default(); // threads = 1
         for strategy in Transmission::ALL {
-            let base = simulate_farm(&mixed, 4, strategy, &cfg(), &mut NfsCache::new());
-            let with_exec = simulate_farm(&mixed, 4, strategy, &config, &mut NfsCache::new());
+            let base = cold_run(&mixed, &SimSpec::new(4, strategy));
+            let with_exec = cold_run(&mixed, &spec(4, strategy, config));
             assert_eq!(base, with_exec, "{strategy}");
         }
     }
@@ -1483,14 +1307,13 @@ mod tests {
             .collect();
         let record = |c: &SimConfig| {
             let rec = Recorder::with_capacity(5, 1 << 16);
-            let out = simulate_farm_recorded(
+            let out = simulate(
                 &jobs,
-                4,
-                Transmission::SerializedLoad,
-                c,
-                &mut NfsCache::new(),
+                &spec(4, Transmission::SerializedLoad, *c),
+                &mut SimCaches::new(),
                 Some(&rec),
-            );
+            )
+            .unwrap();
             assert_eq!(rec.dropped(), 0);
             (out, Breakdown::from_events(&rec.events()))
         };
@@ -1523,14 +1346,7 @@ mod tests {
         let makespan = |threads: usize| {
             let mut config = cfg();
             config.exec.threads = threads;
-            simulate_farm(
-                &jobs,
-                2,
-                Transmission::SerializedLoad,
-                &config,
-                &mut NfsCache::new(),
-            )
-            .makespan
+            cold_run(&jobs, &spec(2, Transmission::SerializedLoad, config)).makespan
         };
         let t1 = makespan(1);
         let t8 = makespan(8);
@@ -1542,35 +1358,28 @@ mod tests {
     #[test]
     fn scripted_death_requeues_onto_survivors() {
         let jobs = cheap_jobs(10, 5e-3);
-        let opts = SimSchedOpts {
-            supervision: Some(Supervision {
-                deadline_ns: 10_000_000_000,
-                max_attempts: 4,
-                backoff_base_ns: 0,
-            }),
-            record_trace: true,
-            faults: vec![SimFault {
-                slave: 1,
-                fatal_dispatch: 0,
-                detect_delay_s: 0.02,
-            }],
-            ..Default::default()
-        };
-        let (out, trace) = simulate_farm_sched(
+        let out = cold_run(
             &jobs,
-            2,
-            Transmission::SerializedLoad,
-            &cfg(),
-            &mut SimCaches::new(),
-            None,
-            &opts,
-        )
-        .unwrap();
+            &SimSpec {
+                supervision: Some(Supervision {
+                    deadline_ns: 10_000_000_000,
+                    max_attempts: 4,
+                    backoff_base_ns: 0,
+                }),
+                record_trace: true,
+                faults: vec![SimFault {
+                    slave: 1,
+                    fatal_dispatch: 0,
+                    detect_delay_s: 0.02,
+                }],
+                ..SimSpec::new(2, Transmission::SerializedLoad)
+            },
+        );
         // Every job completes despite the death; the dead slave (which
         // perished sending its first answer) contributes nothing.
         assert_eq!(out.per_slave.iter().sum::<usize>(), 10);
         assert_eq!(out.per_slave[1], 0, "{:?}", out.per_slave);
-        let text = trace.unwrap().render();
+        let text = out.trace.unwrap().render();
         assert!(
             text.contains("dead(2) -> bury(2) requeue("),
             "no burial decision in:\n{text}"
@@ -1582,33 +1391,20 @@ mod tests {
         let mut jobs = cheap_jobs(6, 1e-3);
         jobs[5].compute = 1.0; // the straggler FIFO leaves for last
         let costs: Vec<f64> = jobs.iter().map(|j| j.compute).collect();
-        let opts = SimSchedOpts {
-            policy: DispatchPolicy::Lpt { costs },
-            record_trace: true,
-            ..Default::default()
-        };
-        let (lpt, trace) = simulate_farm_sched(
+        let lpt = cold_run(
             &jobs,
-            2,
-            Transmission::SerializedLoad,
-            &cfg(),
-            &mut SimCaches::new(),
-            None,
-            &opts,
-        )
-        .unwrap();
-        let text = trace.unwrap().render();
+            &SimSpec {
+                policy: DispatchPolicy::Lpt { costs },
+                record_trace: true,
+                ..SimSpec::new(2, Transmission::SerializedLoad)
+            },
+        );
+        let text = lpt.trace.unwrap().render();
         assert!(
             text.starts_with("ready(1) -> dispatch(5->1)\n"),
             "LPT did not lead with the straggler:\n{text}"
         );
-        let fifo = simulate_farm(
-            &jobs,
-            2,
-            Transmission::SerializedLoad,
-            &cfg(),
-            &mut NfsCache::new(),
-        );
+        let fifo = cold_run(&jobs, &SimSpec::new(2, Transmission::SerializedLoad));
         assert!(
             lpt.makespan < fifo.makespan,
             "LPT {} !< FIFO {}",
@@ -1619,8 +1415,20 @@ mod tests {
 
     #[test]
     fn empty_job_list_is_zero_makespan() {
-        let out = simulate_farm(&[], 5, Transmission::Nfs, &cfg(), &mut NfsCache::new());
+        let out = cold_run(&[], &SimSpec::new(5, Transmission::Nfs));
         assert_eq!(out.makespan, 0.0);
+    }
+
+    #[test]
+    fn zero_slaves_is_a_scheduler_error_not_a_panic() {
+        let jobs = cheap_jobs(3, 1e-3);
+        let got = simulate(
+            &jobs,
+            &SimSpec::new(0, Transmission::Nfs),
+            &mut SimCaches::new(),
+            None,
+        );
+        assert_eq!(got, Err(SchedError::NoSlaves));
     }
 
     // -- sharded peer masters ------------------------------------------------
@@ -1628,14 +1436,7 @@ mod tests {
     #[test]
     fn one_shard_whole_lease_is_bit_identical_to_the_plain_farm() {
         let jobs = cheap_jobs(200, 2e-3);
-        let plain = simulate_farm_cached(
-            &jobs,
-            4,
-            Transmission::SerializedLoad,
-            &cfg(),
-            &mut SimCaches::new(),
-            None,
-        );
+        let plain = cold_run(&jobs, &SimSpec::new(4, Transmission::SerializedLoad));
         let sharded = simulate_sharded(
             &jobs,
             &ShardSimConfig {
@@ -1744,14 +1545,14 @@ mod tests {
     fn transport_params_zero_keeps_the_flat_model_bit_identical() {
         let jobs = cheap_jobs(300, 1e-3);
         for strategy in Transmission::ALL {
-            let base = simulate_farm(&jobs, 4, strategy, &cfg(), &mut NfsCache::new());
+            let base = cold_run(&jobs, &SimSpec::new(4, strategy));
             let mut explicit = cfg();
             explicit.transport = crate::params::TransportParams::default();
-            let with_zero = simulate_farm(&jobs, 4, strategy, &explicit, &mut NfsCache::new());
+            let with_zero = cold_run(&jobs, &spec(4, strategy, explicit));
             assert_eq!(base, with_zero, "{strategy}");
             let mut channel = cfg();
             channel.transport = crate::params::TransportParams::channel();
-            let with_channel = simulate_farm(&jobs, 4, strategy, &channel, &mut NfsCache::new());
+            let with_channel = cold_run(&jobs, &spec(4, strategy, channel));
             assert!(with_channel.makespan > base.makespan, "{strategy}");
         }
     }

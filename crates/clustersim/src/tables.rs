@@ -7,7 +7,7 @@
 //! simulator.
 
 use crate::params::SimConfig;
-use crate::sim::{simulate_farm, NfsCache, SimJob};
+use crate::sim::{simulate, FileCache, SimCaches, SimJob, SimSpec};
 use farm::portfolio::{
     realistic_portfolio, regression_portfolio, toy_portfolio, PortfolioJob, PortfolioScale,
 };
@@ -216,15 +216,22 @@ fn sweep(
     cfg: &SimConfig,
     shared_cache: bool,
 ) -> Vec<TableRow> {
-    let mut cache = NfsCache::new();
+    let mut caches = SimCaches::new();
     let mut rows = Vec::with_capacity(cpus.len());
     let mut t2 = None;
     for &n in cpus {
         assert!(n >= 2, "tables start at 2 CPUs");
+        // Each sweep point is a fresh farm: only the NFS server's block
+        // cache may stay warm from the previous point.
+        caches.client = FileCache::default();
         if !shared_cache {
-            cache = NfsCache::new();
+            caches.nfs = FileCache::default();
         }
-        let out = simulate_farm(jobs, n - 1, strategy, cfg, &mut cache);
+        let spec = SimSpec {
+            model: *cfg,
+            ..SimSpec::new(n - 1, strategy)
+        };
+        let out = simulate(jobs, &spec, &mut caches, None).expect("tables start at 2 CPUs");
         let t2v = *t2.get_or_insert(out.makespan);
         rows.push(TableRow {
             cpus: n,

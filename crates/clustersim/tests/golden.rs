@@ -11,9 +11,8 @@
 //! to the events it emits changes a line.
 
 use clustersim::{
-    simulate_farm_sched, simulate_serve, simulate_sharded, DispatchPolicy, ShardSimConfig,
-    SimCaches, SimConfig, SimFault, SimJob, SimOutcome, SimRequest, SimSchedOpts, Supervision,
-    Trace,
+    simulate, simulate_serve, simulate_sharded, DispatchPolicy, ShardSimConfig, SimCaches,
+    SimConfig, SimFault, SimJob, SimOutcome, SimRequest, SimSpec, Supervision, Trace,
 };
 use farm::strategy::Transmission;
 use farm::JobClass;
@@ -59,22 +58,18 @@ fn run(
     rec: &Recorder,
     sched: Sched,
 ) -> (SimOutcome, Option<Trace>) {
-    simulate_farm_sched(
-        jobs,
-        SLAVES,
-        strategy,
-        cfg,
-        caches,
-        Some(rec),
-        &SimSchedOpts {
-            policy: sched.policy.unwrap_or(DispatchPolicy::Fifo),
-            supervision: sched.supervision,
-            record_trace: true,
-            faults: sched.faults,
-            rounds: sched.rounds,
-        },
-    )
-    .expect("golden rows are valid configurations")
+    let spec = SimSpec {
+        model: *cfg,
+        policy: sched.policy.unwrap_or(DispatchPolicy::Fifo),
+        supervision: sched.supervision,
+        record_trace: true,
+        faults: sched.faults,
+        rounds: sched.rounds,
+        ..SimSpec::new(SLAVES, strategy)
+    };
+    let mut out = simulate(jobs, &spec, caches, Some(rec)).expect("golden rows are valid");
+    let trace = out.trace.take();
+    (out, trace)
 }
 
 /// 64-bit FNV-1a.

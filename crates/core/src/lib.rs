@@ -83,8 +83,8 @@ pub use xdrser;
 /// The commonly used types and functions in one import.
 pub mod prelude {
     pub use clustersim::{
-        simulate_farm, simulate_serve, table1_rows, table2_rows, table3_rows, NfsCache,
-        ServeSimOutcome, SimConfig, SimJob, SimRequest, TableRow,
+        simulate, simulate_serve, table1_rows, table2_rows, table3_rows, ServeSimOutcome,
+        SimCaches, SimConfig, SimJob, SimRequest, SimSpec, TableRow,
     };
     pub use exec::{ExecPolicy, ExecStats, StatsSink};
     pub use farm::hierarchy::run_hierarchical_farm;

@@ -71,17 +71,19 @@ if [ -n "$external" ]; then
     exit 1
 fi
 
-echo "==> deprecation gate: run_farm / run_supervised_farm / run_batched_farm / recv_obj_raw symbols are gone"
+echo "==> deprecation gate: run_farm / run_supervised_farm / run_batched_farm / recv_obj_raw / simulate_farm* / SimSchedOpts symbols are gone"
 # The store-backed entry points (FarmConfig::run / run_supervised) are the
 # only surface; the deprecated raw helpers were deleted outright, so any
 # reappearance — definition or caller, in any module — fails the gate.
-# Batching goes through farm::run with FarmConfig::batch_size.
-# Comment lines are ignored.
-stragglers=$(grep -rnE '\b(run_farm|run_supervised_farm|run_batched_farm|recv_obj_raw)\s*\(' \
+# Batching goes through farm::run with FarmConfig::batch_size. The
+# simulator has one flat entry point, clustersim::simulate(jobs, &SimSpec,
+# ..): its four simulate_farm* wrappers and SimSchedOpts were folded into
+# it. Comment lines are ignored.
+stragglers=$(grep -rnE '\b(run_farm|run_supervised_farm|run_batched_farm|recv_obj_raw|simulate_farm(_recorded|_cached|_sched)?)\s*\(|\bSimSchedOpts\b' \
     --include='*.rs' crates tests benches examples 2>/dev/null \
     | grep -v -E '^[^:]*:[0-9]+:\s*(//|//!|///)')
 if [ -n "$stragglers" ]; then
-    echo "error: deleted farm/comm entry points have reappeared:"
+    echo "error: deleted farm/comm/simulator entry points have reappeared:"
     echo "$stragglers"
     exit 1
 fi

@@ -17,9 +17,7 @@
 //!   grains away from the nearest neighbouring answers on either side —
 //!   so the burial lands in the same inter-answer gap in both worlds.
 
-use riskbench::clustersim::{
-    simulate_farm_sched, SimCaches, SimConfig, SimFault, SimJob, SimSchedOpts,
-};
+use riskbench::clustersim::{simulate, SimCaches, SimFault, SimJob, SimSpec};
 use riskbench::prelude::*;
 use riskbench::pricing::models::BlackScholes;
 use riskbench::sched::Supervision;
@@ -91,19 +89,10 @@ fn matched_workload(dir: &std::path::Path) -> (Vec<PathBuf>, Vec<SimJob>) {
     (files, sim_jobs)
 }
 
-fn sim_trace(jobs: &[SimJob], opts: &SimSchedOpts) -> String {
-    let (out, trace) = simulate_farm_sched(
-        jobs,
-        SLAVES,
-        Transmission::SerializedLoad,
-        &SimConfig::default(),
-        &mut SimCaches::new(),
-        None,
-        opts,
-    )
-    .unwrap();
+fn sim_trace(jobs: &[SimJob], spec: &SimSpec) -> String {
+    let out = simulate(jobs, spec, &mut SimCaches::new(), None).unwrap();
     assert_eq!(out.per_slave.iter().sum::<usize>(), COSTS.len());
-    trace.expect("record_trace was set").render()
+    out.trace.expect("record_trace was set").render()
 }
 
 #[test]
@@ -122,9 +111,9 @@ fn fault_free_live_and_sim_traces_are_byte_identical() {
 
     let sim = sim_trace(
         &sim_jobs,
-        &SimSchedOpts {
+        &SimSpec {
             record_trace: true,
-            ..Default::default()
+            ..SimSpec::new(SLAVES, Transmission::SerializedLoad)
         },
     );
 
@@ -165,10 +154,10 @@ fn staged_rounds_live_and_sim_traces_are_byte_identical() {
 
     let sim = sim_trace(
         &sim_jobs,
-        &SimSchedOpts {
+        &SimSpec {
             record_trace: true,
             rounds: Some(rounds),
-            ..Default::default()
+            ..SimSpec::new(SLAVES, Transmission::SerializedLoad)
         },
     );
     assert_eq!(
@@ -242,22 +231,19 @@ fn staged_bsde_picard_live_and_sim_traces_are_byte_identical() {
             compute: 1.0,
         })
         .collect();
-    let (out, trace) = simulate_farm_sched(
+    let out = simulate(
         &sim_jobs,
-        SLAVES,
-        Transmission::SerializedLoad,
-        &SimConfig::default(),
-        &mut SimCaches::new(),
-        None,
-        &SimSchedOpts {
+        &SimSpec {
             record_trace: true,
             rounds: w.rounds().map(|r| r.to_vec()),
-            ..Default::default()
+            ..SimSpec::new(SLAVES, Transmission::SerializedLoad)
         },
+        &mut SimCaches::new(),
+        None,
     )
     .unwrap();
     assert_eq!(out.per_slave.iter().sum::<usize>(), picard_rounds);
-    let sim = trace.expect("record_trace was set").render();
+    let sim = out.trace.expect("record_trace was set").render();
     assert_eq!(
         live_trace, sim,
         "BSDE staged traces diverged\n-- live --\n{live_trace}\n-- sim --\n{sim}"
@@ -322,7 +308,7 @@ fn seeded_fault_live_and_sim_traces_are_byte_identical() {
     // inter-answer gap (18, 22) the live poll lands in.
     let sim = sim_trace(
         &sim_jobs,
-        &SimSchedOpts {
+        &SimSpec {
             supervision: Some(Supervision {
                 deadline_ns: 3_600_000_000_000,
                 max_attempts: 4,
@@ -334,7 +320,7 @@ fn seeded_fault_live_and_sim_traces_are_byte_identical() {
                 fatal_dispatch: 0,
                 detect_delay_s: 0.5,
             }],
-            ..Default::default()
+            ..SimSpec::new(SLAVES, Transmission::SerializedLoad)
         },
     );
 

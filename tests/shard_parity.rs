@@ -4,7 +4,7 @@
 //!   nothing to steal) every peer master drives exactly one
 //!   [`sched::Scheduler`] round over its contiguous partition, so its
 //!   recorded trace must be **byte-identical** to
-//!   `clustersim::simulate_farm_sched` run on that partition — on the
+//!   `clustersim::simulate` run on that partition — on the
 //!   in-process channel backend *and* on the multi-process socket
 //!   backend;
 //! * **price bit-identity across backends** — the same portfolio priced
@@ -17,7 +17,7 @@
 //! grain apart, so fair processor sharing (including the concurrent
 //! peer shard's load) cannot reorder a shard's event sequence.
 
-use riskbench::clustersim::{simulate_farm_sched, SimCaches, SimConfig, SimJob, SimSchedOpts};
+use riskbench::clustersim::{simulate, SimCaches, SimJob, SimSpec};
 use riskbench::farm::shard::{
     run_sharded, shard_slave_entry, ShardConfig, TransportKind, SHARD_SLAVE_ENTRY,
 };
@@ -98,21 +98,13 @@ fn matched_workload(dir: &std::path::Path) -> (Vec<PathBuf>, Vec<SimJob>) {
 
 /// One simulated scheduler round over a shard's partition.
 fn sim_shard_trace(jobs: &[SimJob]) -> String {
-    let (out, trace) = simulate_farm_sched(
-        jobs,
-        SLAVES_PER_SHARD,
-        Transmission::SerializedLoad,
-        &SimConfig::default(),
-        &mut SimCaches::new(),
-        None,
-        &SimSchedOpts {
-            record_trace: true,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let spec = SimSpec {
+        record_trace: true,
+        ..SimSpec::new(SLAVES_PER_SHARD, Transmission::SerializedLoad)
+    };
+    let out = simulate(jobs, &spec, &mut SimCaches::new(), None).unwrap();
     assert_eq!(out.per_slave.iter().sum::<usize>(), jobs.len());
-    trace.expect("record_trace was set").render()
+    out.trace.expect("record_trace was set").render()
 }
 
 fn trace_parity_on(backend: TransportKind, tag: &str) {

@@ -3,7 +3,7 @@
 //! costs, must predict the live farm's wall-clock within a reasonable
 //! band, and both must show the same qualitative scaling.
 
-use riskbench::clustersim::{simulate_farm, NfsCache, SimConfig, SimJob};
+use riskbench::clustersim::{simulate, SimCaches, SimJob, SimSpec};
 use riskbench::prelude::*;
 
 /// Plain farm via the unified [`farm::run`] entry point.
@@ -55,12 +55,19 @@ fn matched_workload(dir: &std::path::Path) -> (Vec<std::path::PathBuf>, Vec<SimJ
     (files, sim_jobs)
 }
 
+/// Simulated makespan of a plain serialized-load farm on the default model.
+fn sim_makespan(jobs: &[SimJob], slaves: usize) -> f64 {
+    let spec = SimSpec::new(slaves, Transmission::SerializedLoad);
+    simulate(jobs, &spec, &mut SimCaches::new(), None)
+        .unwrap()
+        .makespan
+}
+
 #[test]
 fn simulator_predicts_live_makespan_within_band() {
     let dir = std::env::temp_dir().join("it_sim_vs_live");
     let _ = std::fs::remove_dir_all(&dir);
     let (files, sim_jobs) = matched_workload(&dir);
-    let cfg = SimConfig::default();
 
     // On a single-core machine two live slaves time-share one CPU, which
     // the simulator (one CPU per slave) cannot model — restrict to one
@@ -74,14 +81,7 @@ fn simulator_predicts_live_makespan_within_band() {
             .unwrap()
             .elapsed
             .as_secs_f64();
-        let sim = simulate_farm(
-            &sim_jobs,
-            slaves,
-            Transmission::SerializedLoad,
-            &cfg,
-            &mut NfsCache::new(),
-        )
-        .makespan;
+        let sim = sim_makespan(&sim_jobs, slaves);
         let ratio = live / sim;
         // Thread scheduling noise and measurement jitter are real; demand
         // agreement within a factor of two, which is tight enough to
@@ -158,7 +158,6 @@ fn sim_and_live_emit_identical_per_job_event_kinds() {
     // The tentpole diffability claim: the simulator's event stream uses
     // the *same* per-job phase schema as the live instrumented farm, so
     // one Breakdown aggregator can compare them phase by phase.
-    use riskbench::clustersim::simulate_farm_recorded;
     use std::collections::BTreeSet;
     use std::sync::Arc;
 
@@ -187,14 +186,13 @@ fn sim_and_live_emit_identical_per_job_event_kinds() {
         assert_eq!(report.completed(), 10, "{strategy}");
 
         let sim_rec = Recorder::new(3);
-        simulate_farm_recorded(
+        simulate(
             &sim_jobs,
-            2,
-            strategy,
-            &SimConfig::default(),
-            &mut NfsCache::new(),
+            &SimSpec::new(2, strategy),
+            &mut SimCaches::new(),
             Some(&sim_rec),
-        );
+        )
+        .unwrap();
 
         let kinds = |events: &[Event], job: i64| -> BTreeSet<EventKind> {
             events
@@ -236,7 +234,6 @@ fn simulator_and_live_farm_agree_on_scaling_direction() {
     let dir = std::env::temp_dir().join("it_sim_vs_live_scaling");
     let _ = std::fs::remove_dir_all(&dir);
     let (files, sim_jobs) = matched_workload(&dir);
-    let cfg = SimConfig::default();
 
     let live1 = run_plain_farm(&files, 1, Transmission::SerializedLoad)
         .unwrap()
@@ -246,22 +243,8 @@ fn simulator_and_live_farm_agree_on_scaling_direction() {
         .unwrap()
         .elapsed
         .as_secs_f64();
-    let sim1 = simulate_farm(
-        &sim_jobs,
-        1,
-        Transmission::SerializedLoad,
-        &cfg,
-        &mut NfsCache::new(),
-    )
-    .makespan;
-    let sim3 = simulate_farm(
-        &sim_jobs,
-        3,
-        Transmission::SerializedLoad,
-        &cfg,
-        &mut NfsCache::new(),
-    )
-    .makespan;
+    let sim1 = sim_makespan(&sim_jobs, 1);
+    let sim3 = sim_makespan(&sim_jobs, 3);
     // Both must improve substantially from 1 to 3 slaves.
     assert!(live3 < 0.8 * live1, "live: {live1:.3} -> {live3:.3}");
     assert!(sim3 < 0.8 * sim1, "sim: {sim1:.3} -> {sim3:.3}");
