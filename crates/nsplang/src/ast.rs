@@ -45,6 +45,21 @@ pub enum Expr {
     Transpose(Box<Expr>),
 }
 
+impl Expr {
+    /// `var.add_last[args]` on a named receiver, as `(var, args)`: the one
+    /// method that mutates its receiver variable (value semantics, so the
+    /// grown list is bound back to `var`).
+    pub fn as_add_last(&self) -> Option<(&str, &[Arg])> {
+        match self {
+            Expr::MethodCall(base, name, args) if name == "add_last" => match base.as_ref() {
+                Expr::Ident(var) => Some((var, args)),
+                _ => None,
+            },
+            _ => None,
+        }
+    }
+}
+
 /// A call argument: positional or keyword (`str="equity"`).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Arg {

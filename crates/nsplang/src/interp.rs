@@ -62,14 +62,16 @@ impl From<crate::parser::ParseError> for NspError {
 ///
 /// Both engines share the parser, the value semantics helpers, the builtin
 /// and method dispatch, and the RNG state, and are proven bit-identical on
-/// the script battery in `tests/nsp_scripts.rs`.
+/// the script battery in `tests/nsp_scripts.rs`. The VM is the default;
+/// the tree-walker is kept as the reference the battery and `vm_smoke`
+/// select explicitly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// The original AST tree-walker.
-    #[default]
+    /// The original AST tree-walker: the reference engine.
     Tree,
     /// The register bytecode VM (`lower` + `vm` modules): slot-resolved
     /// locals, interned constants, no hash lookups in the dispatch loop.
+    #[default]
     Vm,
 }
 
@@ -204,7 +206,7 @@ impl Default for Interp {
 }
 
 impl Interp {
-    /// A fresh interpreter with no MPI binding.
+    /// A fresh interpreter with no MPI binding, on the default engine.
     pub fn new() -> Self {
         Interp {
             scopes: vec![HashMap::new()],
@@ -213,7 +215,7 @@ impl Interp {
             output: Vec::new(),
             echo: false,
             rng_state: 0x5EED0F55,
-            engine: Engine::Tree,
+            engine: Engine::default(),
             vm_protos: HashMap::new(),
         }
     }
@@ -345,7 +347,14 @@ impl Interp {
     fn exec_stmt_kind(&mut self, stmt: &Stmt) -> R<Flow> {
         match stmt {
             Stmt::Expr(e) => {
-                self.eval(e)?;
+                // Statement-form `L.add_last[x]` grows `L` and discards the
+                // list, so it never copies it.
+                match e.as_add_last() {
+                    Some((var, args)) => self.add_last(var, args)?,
+                    None => {
+                        self.eval(e)?;
+                    }
+                }
                 Ok(Flow::Normal)
             }
             Stmt::Assign(targets, rhs) => {
@@ -430,28 +439,48 @@ impl Interp {
                         Arg::Kw(_, _) => err("keyword in index"),
                     })
                     .collect::<R<Vec<_>>>()?;
-                let current = self
-                    .get(name)
-                    .cloned()
-                    .ok_or_else(|| NspError::new(format!("undefined variable {name}")))?;
-                let updated = index_assign_value(current, &idx_vals, v)?;
-                self.assign(&Target::Ident(name.clone()), updated)
+                self.mutate_var(name, None, Mutation::Index(&idx_vals, v))
             }
             Target::Field(base, field) => match base.as_ref() {
-                Target::Ident(name) => {
-                    let mut hash = match self.get(name) {
-                        Some(NValue::V(Value::Hash(h))) => h.clone(),
-                        None => Hash::new(), // auto-create, like Nsp's H.A = ...
-                        Some(other) => {
-                            return err(format!("cannot set field on {}", other.type_name()))
-                        }
-                    };
-                    hash.set(field, v.to_value()?);
-                    self.assign(&Target::Ident(name.clone()), NValue::V(Value::Hash(hash)))
-                }
+                Target::Ident(name) => self.mutate_var(name, None, Mutation::Field(field, v)),
                 _ => err("nested field assignment not supported"),
             },
         }
+    }
+
+    /// Apply `m` to variable `name`. Bound in the current scope, it is
+    /// mutated in place. Otherwise the mutation runs on `pre` (a receiver
+    /// the caller already evaluated) or on a copy of the outer-scope value,
+    /// and the result is bound here: function bodies cannot mutate globals.
+    fn mutate_var(&mut self, name: &str, pre: Option<NValue>, m: Mutation) -> R<()> {
+        if pre.is_none() {
+            let scope = self.scopes.last_mut().expect("at least the global scope");
+            if let Some(v) = scope.get_mut(name) {
+                return mutate(v, m);
+            }
+        }
+        let current = pre.or_else(|| self.get(name).cloned());
+        let v = mutated_copy(name, current, m)?;
+        self.set(name, v);
+        Ok(())
+    }
+
+    /// `var.add_last[args]`. A receiver not bound in the current scope is
+    /// evaluated before the arguments, like any method receiver (it may be
+    /// an outer-scope variable or a bare function call).
+    fn add_last(&mut self, var: &str, args: &[Arg]) -> R<()> {
+        let local = self
+            .scopes
+            .last()
+            .expect("at least the global scope")
+            .contains_key(var);
+        let pre = if local {
+            None
+        } else {
+            Some(self.eval_ident(var, 1)?.remove(0))
+        };
+        let (pos, _kw) = self.eval_args(args)?;
+        self.mutate_var(var, pre, Mutation::AddLast(pos.into_iter().next()))
     }
 
     // ---- expressions ---------------------------------------------------------
@@ -467,17 +496,7 @@ impl Interp {
             Expr::Num(v) => Ok(vec![NValue::scalar(*v)]),
             Expr::Str(s) => Ok(vec![NValue::string(s.clone())]),
             Expr::Bool(b) => Ok(vec![NValue::boolean(*b)]),
-            Expr::Ident(name) => {
-                if let Some(v) = self.get(name) {
-                    Ok(vec![v.clone()])
-                } else if self.funcs.contains_key(name) || is_builtin(name) {
-                    // Zero-argument call: `premia_create` style is written
-                    // with parens in practice, but allow bare too.
-                    self.call(name, Vec::new(), Vec::new(), want)
-                } else {
-                    err(format!("undefined variable {name}"))
-                }
-            }
+            Expr::Ident(name) => self.eval_ident(name, want),
             Expr::Matrix(rows) => Ok(vec![self.eval_matrix(rows)?]),
             Expr::Range(lo, step, hi) => {
                 // Evaluation order is lo, hi, then step (matching the VM's
@@ -524,23 +543,31 @@ impl Interp {
                 Ok(vec![field_value(&b, name)?])
             }
             Expr::MethodCall(base, name, args) => {
+                if let Some((var, args)) = e.as_add_last() {
+                    // Expression form: the value is the grown list.
+                    self.add_last(var, args)?;
+                    return Ok(vec![self.get(var).expect("bound by add_last").clone()]);
+                }
                 let b = self.eval(base)?;
                 let (pos, kw) = self.eval_args(args)?;
-                let result = self.method(b, name, pos, kw)?;
-                // Value-semantics mutating methods (add_last) return the
-                // updated container; write it back when the receiver is a
-                // plain variable so `res.add_last[...]` behaves like Nsp.
-                if name == "add_last" {
-                    if let Expr::Ident(var) = base.as_ref() {
-                        self.assign(&Target::Ident(var.clone()), result[0].clone())?;
-                    }
-                }
-                Ok(result)
+                self.method(b, name, pos, kw)
             }
             Expr::Transpose(inner) => {
                 let v = self.eval(inner)?;
                 Ok(vec![transpose_value(&v)?])
             }
+        }
+    }
+
+    /// A bare identifier: variable, else zero-argument call (`premia_create`
+    /// style is written with parens in practice, but bare is allowed too).
+    fn eval_ident(&mut self, name: &str, want: usize) -> R<Vec<NValue>> {
+        if let Some(v) = self.get(name) {
+            Ok(vec![v.clone()])
+        } else if self.funcs.contains_key(name) || is_builtin(name) {
+            self.call(name, Vec::new(), Vec::new(), want)
+        } else {
+            err(format!("undefined variable {name}"))
         }
     }
 
@@ -659,33 +686,28 @@ impl Interp {
                 one(NValue::V(Value::Hash(h)))
             }
             "rand" => {
-                let (r, c) = match pos.len() {
-                    0 => (1, 1),
-                    1 => {
-                        let n = need_scalar(&pos[0], "rand size")? as usize;
+                let (r, c) = match pos.as_slice() {
+                    [] => (1, 1),
+                    [n] => {
+                        let n = need_scalar(n, "rand size")? as usize;
                         (n, n)
                     }
-                    _ => (
-                        need_scalar(&pos[0], "rand rows")? as usize,
-                        need_scalar(&pos[1], "rand cols")? as usize,
+                    [r, c, ..] => (
+                        need_scalar(r, "rand rows")? as usize,
+                        need_scalar(c, "rand cols")? as usize,
                     ),
                 };
                 let data: Vec<f64> = (0..r * c).map(|_| self.rand()).collect();
                 one(NValue::V(Value::Real(Matrix::from_col_major(r, c, data))))
             }
             "reseed" => {
-                let s = need_scalar(
-                    pos.first()
-                        .ok_or_else(|| NspError::new("reseed needs a seed"))?,
-                    "reseed seed",
-                )?;
+                let [seed] = args(name, &pos)?;
+                let s = need_scalar(seed, "reseed seed")?;
                 self.reseed(s as u64);
                 one(NValue::V(Value::None))
             }
             "size" => {
-                let v = pos
-                    .first()
-                    .ok_or_else(|| NspError::new("size needs an argument"))?;
+                let [v] = args(name, &pos)?;
                 let star = pos.get(1).and_then(|a| a.as_str()) == Some("*");
                 match v {
                     NValue::V(Value::List(l)) => one(NValue::scalar(l.len() as f64)),
@@ -704,9 +726,7 @@ impl Interp {
                 }
             }
             "length" => {
-                let v = pos
-                    .first()
-                    .ok_or_else(|| NspError::new("length needs an argument"))?;
+                let [v] = args(name, &pos)?;
                 match v {
                     NValue::V(Value::List(l)) => one(NValue::scalar(l.len() as f64)),
                     NValue::V(Value::Real(m)) => one(NValue::scalar(m.len() as f64)),
@@ -717,11 +737,8 @@ impl Interp {
                 }
             }
             "floor" | "ceil" | "abs" | "sqrt" | "exp" | "log" => {
-                let x = need_scalar(
-                    pos.first()
-                        .ok_or_else(|| NspError::new(format!("{name} needs an argument")))?,
-                    name,
-                )?;
+                let [x] = args(name, &pos)?;
+                let x = need_scalar(x, name)?;
                 let y = match name {
                     "floor" => x.floor(),
                     "ceil" => x.ceil(),
@@ -733,8 +750,8 @@ impl Interp {
                 one(NValue::scalar(y))
             }
             "min" | "max" => {
-                let a = need_scalar(&pos[0], name)?;
-                let b = need_scalar(&pos[1], name)?;
+                let [a, b] = args(name, &pos)?;
+                let (a, b) = (need_scalar(a, name)?, need_scalar(b, name)?);
                 one(NValue::scalar(if name == "min" {
                     a.min(b)
                 } else {
@@ -742,9 +759,7 @@ impl Interp {
                 }))
             }
             "string" => {
-                let v = pos
-                    .first()
-                    .ok_or_else(|| NspError::new("string needs an argument"))?;
+                let [v] = args(name, &pos)?;
                 let s = match v {
                     NValue::V(Value::Str(s)) => {
                         s.as_scalar().map(|x| x.to_string()).unwrap_or_default()
@@ -779,14 +794,16 @@ impl Interp {
             "exec" => {
                 // Fig. 1: exec('src/loader.sce') — run a script file in
                 // the current interpreter.
-                let path = need_str(&pos[0], "exec path")?;
+                let [path] = args(name, &pos)?;
+                let path = need_str(path, "exec path")?;
                 let src = std::fs::read_to_string(&path)
                     .map_err(|e| NspError::new(format!("exec {path}: {e}")))?;
                 self.run(&src)?;
                 one(NValue::V(Value::None))
             }
             "getenv" => {
-                let var = need_str(&pos[0], "getenv variable")?;
+                let [var] = args(name, &pos)?;
+                let var = need_str(var, "getenv variable")?;
                 one(NValue::string(std::env::var(&var).unwrap_or_default()))
             }
             "error" => {
@@ -798,9 +815,7 @@ impl Interp {
                 err(msg)
             }
             "isempty" => {
-                let v = pos
-                    .first()
-                    .ok_or_else(|| NspError::new("isempty needs an argument"))?;
+                let [v] = args(name, &pos)?;
                 let empty = match v {
                     NValue::V(Value::Real(m)) => m.is_empty(),
                     NValue::V(Value::List(l)) => l.is_empty(),
@@ -811,15 +826,11 @@ impl Interp {
             }
             // ---- serialization toolbox (§3.2 / Fig. 2) ----------------------
             "serialize" => {
-                let v = pos
-                    .first()
-                    .ok_or_else(|| NspError::new("serialize needs a value"))?;
+                let [v] = args(name, &pos)?;
                 one(NValue::V(Value::Serial(xdrser::serialize(&v.to_value()?))))
             }
             "unserialize" => {
-                let v = pos
-                    .first()
-                    .ok_or_else(|| NspError::new("unserialize needs a serial"))?;
+                let [v] = args(name, &pos)?;
                 match v {
                     NValue::V(Value::Serial(s)) => {
                         let val =
@@ -830,20 +841,20 @@ impl Interp {
                 }
             }
             "save" => {
-                let path = need_str(&pos[0], "save path")?;
-                let v = pos
-                    .get(1)
-                    .ok_or_else(|| NspError::new("save needs a value"))?;
+                let [path, v] = args(name, &pos)?;
+                let path = need_str(path, "save path")?;
                 xdrser::save(&path, &v.to_value()?).map_err(|e| NspError::new(e.to_string()))?;
                 one(NValue::V(Value::None))
             }
             "load" => {
-                let path = need_str(&pos[0], "load path")?;
+                let [path] = args(name, &pos)?;
+                let path = need_str(path, "load path")?;
                 let v = xdrser::load(&path).map_err(|e| NspError::new(e.to_string()))?;
                 one(NValue::wrap(v))
             }
             "sload" => {
-                let path = need_str(&pos[0], "sload path")?;
+                let [path] = args(name, &pos)?;
+                let path = need_str(path, "sload path")?;
                 let s = xdrser::sload(&path).map_err(|e| NspError::new(e.to_string()))?;
                 one(NValue::V(Value::Serial(s)))
             }
@@ -864,20 +875,19 @@ impl Interp {
             "MPI_Comm_rank" => one(NValue::scalar(self.comm()?.rank() as f64)),
             "MPI_Comm_size" => one(NValue::scalar(self.comm()?.size() as f64)),
             "MPI_Send_Obj" => {
-                let v = pos
-                    .first()
-                    .ok_or_else(|| NspError::new("MPI_Send_Obj needs a value"))?
-                    .to_value()?;
-                let dest = need_scalar(&pos[1], "destination")? as i32;
-                let tag = need_scalar(&pos[2], "tag")? as i32;
+                let [v, dest, tag] = args(name, &pos)?;
+                let v = v.to_value()?;
+                let dest = need_scalar(dest, "destination")? as i32;
+                let tag = need_scalar(tag, "tag")? as i32;
                 self.comm()?
                     .send_obj(&v, dest, tag)
                     .map_err(|e| NspError::new(e.to_string()))?;
                 one(NValue::V(Value::None))
             }
             "MPI_Recv_Obj" => {
-                let src = need_scalar(&pos[0], "source")? as i32;
-                let tag = need_scalar(&pos[1], "tag")? as i32;
+                let [src, tag] = args(name, &pos)?;
+                let src = need_scalar(src, "source")? as i32;
+                let tag = need_scalar(tag, "tag")? as i32;
                 let (v, _st) = self
                     .comm()?
                     .recv_obj(src, tag)
@@ -885,8 +895,9 @@ impl Interp {
                 one(NValue::wrap(v))
             }
             "MPI_Probe" => {
-                let src = need_scalar(&pos[0], "source")? as i32;
-                let tag = need_scalar(&pos[1], "tag")? as i32;
+                let [src, tag] = args(name, &pos)?;
+                let src = need_scalar(src, "source")? as i32;
+                let tag = need_scalar(tag, "tag")? as i32;
                 let st = self
                     .comm()?
                     .probe(src, tag)
@@ -894,7 +905,7 @@ impl Interp {
                 one(status_value(st))
             }
             "MPI_Get_count" | "MPI_Get_elements" => {
-                let stat = pos.first().ok_or_else(|| NspError::new("needs a status"))?;
+                let [stat] = args(name, &pos)?;
                 match stat {
                     NValue::V(Value::Hash(h)) => {
                         let count = h
@@ -907,16 +918,17 @@ impl Interp {
                 }
             }
             "mpibuf_create" => {
-                let n = need_scalar(&pos[0], "buffer size")? as usize;
+                let [n] = args(name, &pos)?;
+                let n = need_scalar(n, "buffer size")? as usize;
                 one(NValue::Buf(Rc::new(RefCell::new(MpiBuf::with_capacity(n)))))
             }
             "MPI_Recv" => {
-                let buf = match pos.first() {
-                    Some(NValue::Buf(b)) => Rc::clone(b),
-                    _ => return err("MPI_Recv needs an mpibuf"),
+                let [buf, src, tag] = args(name, &pos)?;
+                let NValue::Buf(buf) = buf else {
+                    return err("MPI_Recv needs an mpibuf");
                 };
-                let src = need_scalar(&pos[1], "source")? as i32;
-                let tag = need_scalar(&pos[2], "tag")? as i32;
+                let src = need_scalar(src, "source")? as i32;
+                let tag = need_scalar(tag, "tag")? as i32;
                 let st = self
                     .comm()?
                     .recv_into(&mut buf.borrow_mut(), src, tag)
@@ -924,9 +936,9 @@ impl Interp {
                 one(status_value(st))
             }
             "MPI_Unpack" => {
-                let buf = match pos.first() {
-                    Some(NValue::Buf(b)) => Rc::clone(b),
-                    _ => return err("MPI_Unpack needs an mpibuf"),
+                let [buf] = args(name, &pos)?;
+                let NValue::Buf(buf) = buf else {
+                    return err("MPI_Unpack needs an mpibuf");
                 };
                 let v = self
                     .comm()?
@@ -937,20 +949,19 @@ impl Interp {
                 one(NValue::V(v))
             }
             "MPI_Pack" => {
-                let v = pos
-                    .first()
-                    .ok_or_else(|| NspError::new("MPI_Pack needs a value"))?
-                    .to_value()?;
+                let [v] = args(name, &pos)?;
+                let v = v.to_value()?;
                 let buf = self.comm()?.pack(&v);
                 one(NValue::Buf(Rc::new(RefCell::new(buf))))
             }
             "MPI_Send" => {
-                let bytes: Vec<u8> = match pos.first() {
-                    Some(NValue::Buf(b)) => b.borrow().bytes().to_vec(),
+                let [buf, dest, tag] = args(name, &pos)?;
+                let bytes: Vec<u8> = match buf {
+                    NValue::Buf(b) => b.borrow().bytes().to_vec(),
                     _ => return err("MPI_Send needs an mpibuf (use MPI_Pack first)"),
                 };
-                let dest = need_scalar(&pos[1], "destination")? as i32;
-                let tag = need_scalar(&pos[2], "tag")? as i32;
+                let dest = need_scalar(dest, "destination")? as i32;
+                let tag = need_scalar(tag, "tag")? as i32;
                 self.comm()?
                     .send(&bytes, dest, tag)
                     .map_err(|e| NspError::new(e.to_string()))?;
@@ -1022,22 +1033,11 @@ impl Interp {
                 one(NValue::V(Value::list(vec![inner])))
             }
             // ---- generic value methods -------------------------------------
-            (NValue::V(Value::List(_)), "add_last") => {
-                // Lists are value types in our bridge: mutate through
-                // reassignment is handled by the caller pattern
-                // `res.add_last[...]` — we mutate a clone and write it
-                // back is impossible here, so add_last returns the new
-                // list; statement form updates the variable via special
-                // handling in eval (see MethodCall on Ident below).
-                let mut l = match base {
-                    NValue::V(Value::List(l)) => l,
-                    _ => unreachable!(),
-                };
-                let v = pos
-                    .first()
-                    .ok_or_else(|| NspError::new("add_last needs a value"))?;
-                l.add_last(v.to_value()?);
-                one(NValue::V(Value::List(l)))
+            // `expr.add_last[v]` on an unnamed receiver: grow the temporary.
+            (_, "add_last") => {
+                let mut l = base;
+                mutate(&mut l, Mutation::AddLast(pos.into_iter().next()))?;
+                one(l)
             }
             (NValue::V(_), "equal") => {
                 let other = pos
@@ -1244,11 +1244,65 @@ pub(crate) fn index_value(base: &NValue, idx: &[NValue]) -> R<NValue> {
     }
 }
 
-/// `base(idx...) = v` write indexing; takes the current container by value
-/// and returns the updated one.
-pub(crate) fn index_assign_value(current: NValue, idx: &[NValue], v: NValue) -> R<NValue> {
-    match current {
-        NValue::V(Value::List(mut l)) => {
+/// A value-semantics update of a named container: `L.add_last[v]`,
+/// `X(idx...) = v` or `H.field = v`.
+pub(crate) enum Mutation<'a> {
+    /// `L.add_last[v]`; `None` when the call had no positional argument.
+    AddLast(Option<NValue>),
+    /// `X(idx...) = v`.
+    Index(&'a [NValue], NValue),
+    /// `H.field = v`.
+    Field(&'a str, NValue),
+}
+
+/// Apply `m` to `target` through `&mut`, the one mutation path of both
+/// engines. The container is never cloned, and every check runs before the
+/// first write, so on error `target` is left exactly as it was.
+pub(crate) fn mutate(target: &mut NValue, m: Mutation) -> R<()> {
+    match (target, m) {
+        (NValue::V(Value::List(l)), Mutation::AddLast(v)) => {
+            let v = v.ok_or_else(|| NspError::new("add_last needs a value"))?;
+            l.add_last(into_value(v)?);
+            Ok(())
+        }
+        (other, Mutation::AddLast(_)) => {
+            err(format!("{} has no method add_last", other.type_name()))
+        }
+        (target, Mutation::Index(idx, v)) => index_assign(target, idx, v),
+        (NValue::V(Value::Hash(h)), Mutation::Field(field, v)) => {
+            h.set(field, into_value(v)?);
+            Ok(())
+        }
+        (other, Mutation::Field(..)) => err(format!("cannot set field on {}", other.type_name())),
+    }
+}
+
+/// The copy-then-bind path, for a receiver not bound in the current scope
+/// or frame: `current` is its value resolved further out (`None` when it
+/// is unbound everywhere). Returns the mutated copy for the caller to bind.
+/// Field assignment auto-creates a hash, like Nsp's `H.A = ...`.
+pub(crate) fn mutated_copy(name: &str, current: Option<NValue>, m: Mutation) -> R<NValue> {
+    let mut v = match (current, &m) {
+        (Some(v), _) => v,
+        (None, Mutation::Field(..)) => NValue::V(Value::Hash(Hash::new())),
+        (None, _) => return err(format!("undefined variable {name}")),
+    };
+    mutate(&mut v, m)?;
+    Ok(v)
+}
+
+/// Move a value into a container (no copy for plain data).
+fn into_value(v: NValue) -> R<Value> {
+    match v {
+        NValue::V(v) => Ok(v),
+        other => other.to_value(),
+    }
+}
+
+/// `target(idx...) = v` write indexing.
+fn index_assign(target: &mut NValue, idx: &[NValue], v: NValue) -> R<()> {
+    match target {
+        NValue::V(Value::List(l)) => {
             if idx.len() != 1 {
                 return err("lists take one index");
             }
@@ -1266,7 +1320,7 @@ pub(crate) fn index_assign_value(current: NValue, idx: &[NValue], v: NValue) -> 
                                     l.remove_range(p - 1, 1);
                                 }
                             }
-                            return Ok(NValue::V(Value::List(l)));
+                            return Ok(());
                         }
                     }
                     return err("list range assignment only supports deletion with []");
@@ -1283,16 +1337,17 @@ pub(crate) fn index_assign_value(current: NValue, idx: &[NValue], v: NValue) -> 
             if let NValue::V(val) = &v {
                 if val.is_empty_matrix() && i <= l.len() {
                     l.remove_range(i - 1, 1);
-                    return Ok(NValue::V(Value::List(l)));
+                    return Ok(());
                 }
             }
+            let v = into_value(v)?;
             while l.len() < i {
                 l.add_last(Value::None);
             }
-            *l.get_mut(i - 1).expect("extended above") = v.to_value()?;
-            Ok(NValue::V(Value::List(l)))
+            *l.get_mut(i - 1).expect("extended above") = v;
+            Ok(())
         }
-        NValue::V(Value::Real(mut m)) => {
+        NValue::V(Value::Real(m)) => {
             let x = v
                 .as_scalar()
                 .ok_or_else(|| NspError::new("matrix assignment needs a scalar"))?;
@@ -1317,7 +1372,7 @@ pub(crate) fn index_assign_value(current: NValue, idx: &[NValue], v: NValue) -> 
                 }
                 _ => return err("matrices take 1 or 2 indices"),
             }
-            Ok(NValue::V(Value::Real(m)))
+            Ok(())
         }
         other => err(format!("cannot index-assign into {}", other.type_name())),
     }
@@ -1505,6 +1560,15 @@ pub(crate) fn builtin_id(name: &str) -> Option<u16> {
 /// The static name for a builtin id (runtime dispatch, allocation-free).
 pub(crate) fn builtin_name(id: u16) -> &'static str {
     BUILTIN_NAMES[id as usize]
+}
+
+/// The first `N` positional arguments of builtin `name`: a call with fewer
+/// is an error, never an out-of-bounds panic.
+pub(crate) fn args<'a, const N: usize>(name: &str, pos: &'a [NValue]) -> R<&'a [NValue; N]> {
+    pos.get(..N).and_then(|a| a.try_into().ok()).ok_or_else(|| {
+        let s = if N == 1 { "" } else { "s" };
+        NspError::new(format!("{name} needs {N} argument{s}"))
+    })
 }
 
 /// Is `name` one of the builtin functions (used to allow bare calls like

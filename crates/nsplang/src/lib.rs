@@ -24,11 +24,12 @@
 //! portfolio pricer *as a script* on every rank of a `minimpi` world.
 //!
 //! Scripts execute on one of two engines behind [`Interp::with_engine`]:
-//! the original AST tree-walker, or a register bytecode VM
-//! ([`lower`] + [`vm`], see `docs/VM.md`) that resolves locals to slots at
-//! compile time and dispatches over a flat opcode stream. Both engines are
-//! proven bit-identical (bindings, RNG streams, error messages) by the
-//! script battery in `tests/nsp_scripts.rs`.
+//! by default a register bytecode VM ([`lower`] + [`vm`], see
+//! `docs/VM.md`) that resolves locals to slots at compile time and
+//! dispatches over a flat opcode stream, or the original AST tree-walker,
+//! kept as the reference. Both engines are proven bit-identical (bindings,
+//! RNG streams, error messages) by the script battery in
+//! `tests/nsp_scripts.rs`.
 
 #![warn(missing_docs)]
 #![allow(clippy::needless_range_loop)]
@@ -50,13 +51,6 @@ pub use parser::parse_program;
 /// returns the interpreter for inspecting variables.
 pub fn run_script(src: &str) -> Result<Interp, NspError> {
     let mut interp = Interp::new();
-    interp.run(src)?;
-    Ok(interp)
-}
-
-/// Like [`run_script`] but on the bytecode VM engine.
-pub fn run_script_vm(src: &str) -> Result<Interp, NspError> {
-    let mut interp = Interp::with_engine(Engine::Vm);
     interp.run(src)?;
     Ok(interp)
 }

@@ -240,10 +240,13 @@ impl Lowerer {
         self.cur_pos = s.pos;
         self.next_reg = self.first_temp;
         match &s.kind {
-            Stmt::Expr(e) => {
-                let t = self.alloc();
-                self.expr_at(e, t);
-            }
+            Stmt::Expr(e) => match e.as_add_last() {
+                Some((var, args)) => self.add_last(var, args, NO_REG, 1),
+                None => {
+                    let t = self.alloc();
+                    self.expr_at(e, t);
+                }
+            },
             Stmt::Assign(targets, rhs) => {
                 if targets.len() == 1 {
                     self.assign_single(&targets[0], rhs);
@@ -378,7 +381,6 @@ impl Lowerer {
             }
             Target::Index(name, args) => {
                 let slot = self.local(name);
-                let name_id = self.name(name);
                 let tv = self.alloc();
                 self.expr_at(rhs, tv);
                 let idx = self.next_reg;
@@ -398,7 +400,6 @@ impl Lowerer {
                 }
                 self.emit(Op::IndexAsg {
                     slot,
-                    name: name_id,
                     idx,
                     n,
                     src: tv,
@@ -410,12 +411,10 @@ impl Lowerer {
                 match base.as_ref() {
                     Target::Ident(name) => {
                         let slot = self.local(name);
-                        let name_id = self.name(name);
-                        let field_id = self.name(field);
+                        let field = self.name(field);
                         self.emit(Op::FieldAsg {
                             slot,
-                            name: name_id,
-                            field: field_id,
+                            field,
                             src: tv,
                         });
                     }
@@ -445,11 +444,10 @@ impl Lowerer {
                     return;
                 }
             },
-            Expr::MethodCall(base, name, args) => {
-                if !self.method_call(base, name, args, dst, want) {
-                    return;
-                }
-            }
+            Expr::MethodCall(base, name, args) => match rhs.as_add_last() {
+                Some((var, args)) => self.add_last(var, args, dst, want),
+                None => self.method_call(base, name, args, dst, want),
+            },
             Expr::Ident(name) => {
                 let slot = self.slot_of(name).unwrap_or(NO_REG);
                 let name_id = self.name(name);
@@ -476,7 +474,6 @@ impl Lowerer {
                 }
                 Target::Index(name, args) => {
                     let slot = self.local(name);
-                    let name_id = self.name(name);
                     let idx = self.next_reg;
                     let mut n = 0u16;
                     let mut ok = true;
@@ -497,26 +494,14 @@ impl Lowerer {
                     if !ok {
                         return;
                     }
-                    self.emit(Op::IndexAsg {
-                        slot,
-                        name: name_id,
-                        idx,
-                        n,
-                        src,
-                    });
+                    self.emit(Op::IndexAsg { slot, idx, n, src });
                     self.next_reg = idx;
                 }
                 Target::Field(base, field) => match base.as_ref() {
                     Target::Ident(name) => {
                         let slot = self.local(name);
-                        let name_id = self.name(name);
-                        let field_id = self.name(field);
-                        self.emit(Op::FieldAsg {
-                            slot,
-                            name: name_id,
-                            field: field_id,
-                            src,
-                        });
+                        let field = self.name(field);
+                        self.emit(Op::FieldAsg { slot, field, src });
                     }
                     _ => {
                         self.trap("nested field assignment not supported");
@@ -639,9 +624,10 @@ impl Lowerer {
                     name: id,
                 });
             }
-            Expr::MethodCall(base, name, args) => {
-                self.method_call(base, name, args, dst, 1);
-            }
+            Expr::MethodCall(base, name, args) => match e.as_add_last() {
+                Some((var, args)) => self.add_last(var, args, dst, 1),
+                None => self.method_call(base, name, args, dst, 1),
+            },
             Expr::Transpose(inner) => {
                 let t = self.alloc();
                 self.expr_at(inner, t);
@@ -722,26 +708,12 @@ impl Lowerer {
         true
     }
 
-    /// Compile a bracket-method call; returns `false` if lowering trapped.
-    fn method_call(
-        &mut self,
-        base: &Expr,
-        name: &str,
-        args: &[Arg],
-        dst: Reg,
-        want: u16,
-    ) -> bool {
+    /// Compile a bracket-method call (`add_last` on a named receiver has
+    /// its own op, see [`Lowerer::add_last`]).
+    fn method_call(&mut self, base: &Expr, name: &str, args: &[Arg], dst: Reg, want: u16) {
         let tb = self.alloc();
         self.expr_at(base, tb);
         let (abase, argc, kwt) = self.call_args(args);
-        let wb = if name == "add_last" {
-            match base {
-                Expr::Ident(v) => self.slot_of(v).unwrap_or(NO_REG),
-                _ => NO_REG,
-            }
-        } else {
-            NO_REG
-        };
         let name_id = self.name(name);
         self.emit(Op::Method {
             dst,
@@ -751,9 +723,26 @@ impl Lowerer {
             argc,
             kwt,
             want,
-            wb,
         });
-        true
+    }
+
+    /// `var.add_last[args]` into `dst` (`NO_REG`: statement form). The
+    /// receiver is resolved before the arguments only when its slot is
+    /// unbound; a bound one is grown in place by `AddLast`.
+    fn add_last(&mut self, var: &str, args: &[Arg], dst: Reg, want: u16) {
+        let slot = self.local(var);
+        let obj = self.alloc();
+        self.emit(Op::LoadUnbound { dst: obj, slot });
+        let (base, argc, kwt) = self.call_args(args);
+        self.emit(Op::AddLast {
+            dst,
+            slot,
+            obj,
+            base,
+            argc,
+            kwt,
+            want,
+        });
     }
 }
 
@@ -841,12 +830,10 @@ fn scan_expr(e: &Expr, f: &mut impl FnMut(&str)) {
             scan_args(args, f);
         }
         Expr::Field(base, _) => scan_expr(base, f),
-        Expr::MethodCall(base, name, args) => {
-            // `L.add_last[x]` writes the result back into `L`.
-            if name == "add_last" {
-                if let Expr::Ident(v) = base.as_ref() {
-                    f(v);
-                }
+        Expr::MethodCall(base, _, args) => {
+            // `L.add_last[x]` binds the grown list to `L`.
+            if let Some((var, _)) = e.as_add_last() {
+                f(var);
             }
             scan_expr(base, f);
             scan_args(args, f);

@@ -72,8 +72,7 @@ pub enum Op {
         kwt: u16,
         want: u16,
     },
-    /// `obj.name[args]` bracket-method call; `wb != NO_REG` writes the first
-    /// result back to that slot (the `add_last` receiver pattern).
+    /// `obj.name[args]` bracket-method call.
     Method {
         dst: Reg,
         name: u32,
@@ -82,12 +81,32 @@ pub enum Op {
         argc: u16,
         kwt: u16,
         want: u16,
-        wb: Reg,
     },
-    /// `name(idx...) = src` write indexing into local `slot`.
-    IndexAsg { slot: Reg, name: u32, idx: Reg, n: u16, src: Reg },
-    /// `name.field = src` with hash auto-create, into local `slot`.
-    FieldAsg { slot: Reg, name: u32, field: u32, src: Reg },
+    /// When local `slot` is unbound, resolve its name dynamically into
+    /// `dst` (outer frames, globals, bare call); when bound, clear `dst`.
+    /// Evaluates an `add_last` receiver before its arguments.
+    LoadUnbound { dst: Reg, slot: Reg },
+    /// `slot.add_last[args]`: grow the list in local `slot` in place, or
+    /// the receiver `LoadUnbound` left in `obj` as a copy bound to `slot`.
+    /// `dst == NO_REG` is the statement form, which yields nothing.
+    AddLast {
+        dst: Reg,
+        slot: Reg,
+        obj: Reg,
+        base: Reg,
+        argc: u16,
+        kwt: u16,
+        want: u16,
+    },
+    /// `slot(idx...) = src` write indexing into a local.
+    IndexAsg {
+        slot: Reg,
+        idx: Reg,
+        n: u16,
+        src: Reg,
+    },
+    /// `slot.field = src` with hash auto-create, into a local.
+    FieldAsg { slot: Reg, field: u32, src: Reg },
     /// Define `defs[def]` as a user function (`interp.funcs`).
     DefFunc { def: u16 },
     /// Unconditional jump.

@@ -22,14 +22,14 @@
 
 use crate::ast::{BinOp, UnOp};
 use crate::interp::{
-    binary_value, build_matrix, builtin_id, builtin_name, field_value, for_items_of,
-    index_assign_value, index_value, range_value, transpose_value, unary_value, Interp, NValue,
-    NspError, BUILTIN_EXEC,
+    args, binary_value, build_matrix, builtin_id, builtin_name, field_value, for_items_of,
+    index_value, mutate, mutated_copy, range_value, transpose_value, unary_value, Interp, Mutation,
+    NValue, NspError, BUILTIN_EXEC,
 };
 use crate::lower::{lower_function, lower_program, lower_seeded};
 use crate::opcodes::{Chunk, Op, Proto, Reg, NO_REG, NO_TABLE};
 use crate::parser::parse_program;
-use nspval::{Hash, Value};
+use nspval::Value;
 use std::rc::Rc;
 
 type R<T> = Result<T, NspError>;
@@ -234,6 +234,18 @@ fn run_frame(interp: &mut Interp, chunk: &Chunk, frame: &mut Frame, parents: &[&
                 frame.regs[dst as usize] = frame.regs[src as usize].take();
                 Ok(pc + 1)
             }
+            Op::LoadUnbound { dst, slot } => match frame.regs[slot as usize] {
+                Some(_) => {
+                    frame.regs[dst as usize] = None;
+                    Ok(pc + 1)
+                }
+                None => {
+                    load_slow(interp, frame, parents, frame.names[slot as usize].clone()).map(|v| {
+                        frame.regs[dst as usize] = Some(RVal::from_nv(v));
+                        pc + 1
+                    })
+                }
+            },
             Op::LoadDyn { dst, name } => {
                 load_slow(interp, frame, parents, Some(chunk.names[name as usize].clone())).map(
                     |v| {
@@ -379,26 +391,26 @@ fn run_frame(interp: &mut Interp, chunk: &Chunk, frame: &mut Frame, parents: &[&
                 argc,
                 kwt,
                 want,
-                wb,
-            } => method_op(
-                interp, chunk, frame, dst, name, obj, base, argc, kwt, want, wb,
+            } => method_op(interp, chunk, frame, dst, name, obj, base, argc, kwt, want)
+                .map(|_| pc + 1),
+            Op::AddLast {
+                dst,
+                slot,
+                obj,
+                base,
+                argc,
+                kwt,
+                want,
+            } => add_last_op(
+                interp, chunk, frame, parents, dst, slot, obj, base, argc, kwt, want,
             )
             .map(|_| pc + 1),
-            Op::IndexAsg {
-                slot,
-                name,
-                idx,
-                n,
-                src,
-            } => index_asg(interp, chunk, frame, parents, slot, name, idx, n, src)
-                .map(|_| pc + 1),
-            Op::FieldAsg {
-                slot,
-                name,
-                field,
-                src,
-            } => field_asg(interp, chunk, frame, parents, slot, name, field, src)
-                .map(|_| pc + 1),
+            Op::IndexAsg { slot, idx, n, src } => {
+                index_asg(interp, frame, parents, slot, idx, n, src).map(|_| pc + 1)
+            }
+            Op::FieldAsg { slot, field, src } => {
+                field_asg(interp, chunk, frame, parents, slot, field, src).map(|_| pc + 1)
+            }
             Op::DefFunc { def } => {
                 def_func(interp, chunk, def);
                 Ok(pc + 1)
@@ -704,7 +716,8 @@ fn exec_in_frame(
     parents: &[&Frame],
     pos: Vec<NValue>,
 ) -> R<Vec<NValue>> {
-    let path = pos[0]
+    let [path] = args("exec", &pos)?;
+    let path = path
         .as_str()
         .map(str::to_string)
         .ok_or_else(|| NspError::new("exec path must be a string"))?;
@@ -735,17 +748,80 @@ fn method_op(
     argc: u16,
     kwt: u16,
     want: u16,
-    wb: Reg,
 ) -> R<()> {
     let b = take_nv(frame, obj);
     let (pos, kw) = gather_args(chunk, frame, base, argc, kwt);
     let nm = chunk.names[name as usize].clone();
     let results = interp.method(b, &nm, pos, kw)?;
-    if wb != NO_REG {
-        // Value-semantics mutators (add_last) write back to the receiver.
-        frame.regs[wb as usize] = Some(RVal::from_nv(results[0].clone()));
-    }
     write_results(frame, dst, want, results)
+}
+
+/// `L.add_last[args]` on the local in `slot`. A receiver that was unbound
+/// when `LoadUnbound` ran sits resolved in `obj` and is grown as a copy;
+/// a bound one grows in place. Expression form (`dst != NO_REG`) also
+/// yields the grown list.
+#[allow(clippy::too_many_arguments)]
+fn add_last_op(
+    interp: &mut Interp,
+    chunk: &Chunk,
+    frame: &mut Frame,
+    parents: &[&Frame],
+    dst: Reg,
+    slot: Reg,
+    obj: Reg,
+    base: Reg,
+    argc: u16,
+    kwt: u16,
+    want: u16,
+) -> R<()> {
+    let (pos, _kw) = gather_args(chunk, frame, base, argc, kwt);
+    let m = Mutation::AddLast(pos.into_iter().next());
+    match frame.regs[obj as usize].take() {
+        Some(pre) => {
+            let mut v = pre.nv();
+            mutate(&mut v, m)?;
+            frame.regs[slot as usize] = Some(RVal::from_nv(v));
+        }
+        None => mutate_slot(interp, frame, parents, slot, m)?,
+    }
+    if dst == NO_REG {
+        return Ok(());
+    }
+    let grown = frame.regs[slot as usize]
+        .as_ref()
+        .expect("bound above")
+        .to_nv();
+    write_results(frame, dst, want, vec![grown])
+}
+
+/// Apply `m` to the local in `slot`: in place when the slot is bound (the
+/// register keeps its value on error), else on a copy of the value its
+/// name resolves to through the dynamic scope chain, bound into the slot.
+fn mutate_slot(
+    interp: &Interp,
+    frame: &mut Frame,
+    parents: &[&Frame],
+    slot: Reg,
+    m: Mutation,
+) -> R<()> {
+    match frame.regs[slot as usize].as_mut() {
+        Some(RVal::N(v)) => mutate(v, m),
+        Some(imm) => {
+            let mut v = imm.to_nv();
+            mutate(&mut v, m)?;
+            *imm = RVal::from_nv(v);
+            Ok(())
+        }
+        None => {
+            let name = frame.names[slot as usize]
+                .clone()
+                .expect("a local slot is named");
+            let current = resolve_var(interp, frame, parents, &name);
+            let v = mutated_copy(&name, current, m)?;
+            frame.regs[slot as usize] = Some(RVal::from_nv(v));
+            Ok(())
+        }
+    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -772,61 +848,32 @@ fn ident_multi(
     write_results(frame, dst, want, results)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn index_asg(
     interp: &mut Interp,
-    chunk: &Chunk,
     frame: &mut Frame,
     parents: &[&Frame],
     slot: Reg,
-    name: u32,
     idx: Reg,
     n: u16,
     src: Reg,
 ) -> R<()> {
-    let mut iv = Vec::with_capacity(n as usize);
-    for i in 0..n {
-        iv.push(take_nv(frame, idx + i));
-    }
-    let nm = chunk.names[name as usize].clone();
-    let current = match frame.regs[slot as usize] {
-        Some(ref v) => v.to_nv(),
-        None => resolve_var(interp, frame, parents, &nm)
-            .ok_or_else(|| NspError::new(format!("undefined variable {nm}")))?,
-    };
+    let iv: Vec<NValue> = (0..n).map(|i| take_nv(frame, idx + i)).collect();
     let v = take_nv(frame, src);
-    let updated = index_assign_value(current, &iv, v)?;
-    frame.regs[slot as usize] = Some(RVal::from_nv(updated));
-    Ok(())
+    mutate_slot(interp, frame, parents, slot, Mutation::Index(&iv, v))
 }
 
-#[allow(clippy::too_many_arguments)]
 fn field_asg(
     interp: &mut Interp,
     chunk: &Chunk,
     frame: &mut Frame,
     parents: &[&Frame],
     slot: Reg,
-    name: u32,
     field: u32,
     src: Reg,
 ) -> R<()> {
-    let nm = chunk.names[name as usize].clone();
-    let current = match frame.regs[slot as usize] {
-        Some(ref v) => Some(v.to_nv()),
-        None => resolve_var(interp, frame, parents, &nm),
-    };
-    let mut hash = match current {
-        Some(NValue::V(Value::Hash(h))) => h,
-        None => Hash::new(), // auto-create, like Nsp's H.A = ...
-        Some(other) => {
-            return err(format!("cannot set field on {}", other.type_name()));
-        }
-    };
     let v = take_nv(frame, src);
-    hash.set(&chunk.names[field as usize], v.to_value()?);
-    frame.regs[slot as usize] = Some(RVal::N(NValue::V(Value::Hash(hash))));
-    Ok(())
+    let field = &chunk.names[field as usize];
+    mutate_slot(interp, frame, parents, slot, Mutation::Field(field, v))
 }
 
 fn def_func(interp: &mut Interp, chunk: &Chunk, def: u16) {

@@ -38,7 +38,10 @@
 #      machine-load flakes in the timing-sensitive live-farm tests do not
 #      mask real regressions — deterministic failures (the chaos suite is
 #      seed-driven) reproduce on the retry and still fail the gate
-#   5. clippy over the workspace with warnings denied
+#   5. the benchmark package's tests: perfbench/ is a Cargo workspace of
+#      its own, so steps 2 and 4 never compile it, and an API change in
+#      the crates it uses would otherwise break the benchmark unseen
+#   6. clippy over the workspace with warnings denied
 #
 # Usage: ./scripts/ci.sh [extra cargo-test args]
 
@@ -347,6 +350,8 @@ if ! cargo test -q --workspace "$@"; then
     echo "==> test failure; retrying once to rule out machine-load flakes"
     run cargo test -q --workspace "$@" || exit 1
 fi
+
+run cargo test --offline -q --manifest-path perfbench/Cargo.toml || exit 1
 
 # Clippy is part of the gate when the component is installed (it is on
 # the standard toolchain; skip gracefully on minimal installs).

@@ -201,6 +201,117 @@ fn interpreter_errors_are_reported_not_panicking() {
     assert!(i.run("x = undefined_thing + 1").is_err());
     assert!(i.run("P = premia_create()\nP.compute[]").is_err()); // incomplete problem
     assert!(i.run("L = list(1)\ny = L(5)").is_err()); // out of bounds
+
+    // Every builtin with fewer positional arguments than it needs, on both
+    // engines: an `Err`, never a panic (inside a minimpi world a panic
+    // poisons every rank). Pairs are (builtin, arguments it needs).
+    const BUILTINS: &[(&str, usize)] = &[
+        ("list", 0),
+        ("hash_create", 0),
+        ("rand", 0),
+        ("reseed", 1),
+        ("size", 1),
+        ("length", 1),
+        ("floor", 1),
+        ("ceil", 1),
+        ("abs", 1),
+        ("sqrt", 1),
+        ("exp", 1),
+        ("log", 1),
+        ("min", 2),
+        ("max", 2),
+        ("string", 1),
+        ("disp", 0),
+        ("print", 0),
+        ("getenv", 1),
+        ("error", 0),
+        ("isempty", 1),
+        ("exec", 1),
+        ("serialize", 1),
+        ("unserialize", 1),
+        ("save", 2),
+        ("load", 1),
+        ("sload", 1),
+        ("premia_create", 0),
+        ("MPI_Init", 0),
+        ("MPI_Initialized", 0),
+        ("mpicomm_create", 0),
+        ("mpiinfo_create", 0),
+        ("MPI_Comm_rank", 0),
+        ("MPI_Comm_size", 0),
+        ("MPI_Send_Obj", 3),
+        ("MPI_Recv_Obj", 2),
+        ("MPI_Probe", 2),
+        ("MPI_Get_count", 1),
+        ("MPI_Get_elements", 1),
+        ("mpibuf_create", 1),
+        ("MPI_Recv", 3),
+        ("MPI_Unpack", 1),
+        ("MPI_Pack", 1),
+        ("MPI_Send", 3),
+        ("MPI_Barrier", 0),
+        ("MPI_Wtime", 0),
+    ];
+    for engine in [nsplang::Engine::Tree, nsplang::Engine::Vm] {
+        for &(name, needs) in BUILTINS {
+            // Zero arguments for every builtin (bare and called), then each
+            // shorter argument list of the ones that need arguments.
+            let mut calls = vec![format!("x = {name}"), format!("x = {name}()")];
+            calls.extend((1..needs).map(|k| format!("x = {name}({})", vec!["1"; k].join(", "))));
+            for src in &calls {
+                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    Interp::with_engine(engine).run(src)
+                }));
+                let Ok(res) = run else {
+                    panic!("{src} panicked on {engine:?}");
+                };
+                if needs > 0 {
+                    let e = res.expect_err(src);
+                    let want = format!("{name} needs {needs} argument");
+                    assert!(e.message.starts_with(&want), "{src} on {engine:?}: {e}");
+                }
+            }
+        }
+    }
+}
+
+/// `L.add_last[k]` and `A(k) = k` over 100 000 elements, on both engines,
+/// at top level and inside a function. Mutating in place this takes well
+/// under a second; a path that copies the container per write is
+/// quadratic and takes minutes, so it fails on the watchdog, not on a
+/// timing ratio.
+#[test]
+fn growing_containers_is_linear_on_both_engines() {
+    const N: usize = 100_000;
+    let body = "L = list()\nA = 0 * (1:n)\nfor k = 1:n do\n  L.add_last[k]\n  A(k) = k\nend\nlen = length(L)\ns = 0\nfor x = L do\n  s = s + x\nend\nt = 0\nfor x = A do\n  t = t + x\nend";
+    let top = format!("n = {N}\n{body}");
+    let func =
+        format!("function [len, s, t] = build(n)\n{body}\nendfunction\n[len, s, t] = build({N})");
+    let (tx, rx) = transport::queue::channel();
+    let worker = std::thread::spawn(move || {
+        for engine in [nsplang::Engine::Tree, nsplang::Engine::Vm] {
+            for src in [&top, &func] {
+                let mut i = Interp::with_engine(engine);
+                i.run(src).unwrap_or_else(|e| panic!("{engine:?}: {e}"));
+                let got = ["len", "s", "t"].map(|v| i.get_scalar(v).unwrap());
+                let _ = tx.send((engine, got));
+            }
+        }
+    });
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    let sum = (N * (N + 1) / 2) as f64;
+    for _ in 0..4 {
+        let left = deadline.saturating_duration_since(std::time::Instant::now());
+        match rx.recv_timeout(left) {
+            Ok(Some((engine, got))) => assert_eq!(got, [N as f64, sum, sum], "{engine:?}"),
+            Ok(None) => panic!("growing 100 000-element containers exceeded the 60 s watchdog"),
+            Err(_) => {
+                worker.join().expect("script thread panicked");
+                unreachable!("sender dropped without sending or panicking")
+            }
+        }
+    }
+    worker.join().expect("script thread panicked");
 }
 
 #[test]
@@ -283,7 +394,7 @@ mod engine_equivalence {
     }
 
     fn run_both(src: &str) -> (Interp, Result<(), NspError>, Interp, Result<(), NspError>) {
-        let mut t = Interp::new();
+        let mut t = Interp::with_engine(Engine::Tree);
         let rt = t.run(src);
         let mut v = Interp::with_engine(Engine::Vm);
         let rv = v.run(src);
@@ -347,6 +458,59 @@ mod engine_equivalence {
         );
         assert_agree("L = list(1,2,3,4,5)\nL(2) = 'x'\nL(4) = []\nn = length(L)");
         assert_agree("L = list(1,2,3,4,5)\nk = 2\nL(1:k) = []\nn = length(L)\nh = L(1)");
+        // In-place mutation paths. Self-append stores the pre-append list.
+        assert_agree("L = list(1, 2)\nL.add_last[L]\nn = length(L)\nm = length(L(3))");
+        // Expression form: the value is the grown list, and `L` grows too.
+        assert_agree("L = list(1)\nM = L.add_last[2]\nn = length(L)\nok = M.equal[L]");
+        assert_agree("L = list()\n[a, b] = L.add_last[1]");
+        // A function grows a local copy of a global; the global is unchanged.
+        assert_agree(
+            "G = list(1)\nfunction [n] = f()\n  G.add_last[2]\n  n = length(G)\nendfunction\nx = f()\ng = length(G)",
+        );
+        // A receiver that is not a variable is evaluated (here: called)
+        // before the arguments, and the grown copy is bound to its name.
+        assert_agree(
+            "function [r] = mk()\n  disp('mk')\n  r = list(0)\nendfunction\nfunction [r] = arg()\n  disp('arg')\n  r = 1\nendfunction\nmk.add_last[arg()]\nn = length(mk)",
+        );
+        assert_agree("L.add_last[undefined_thing]");
+        // Indexed assignment pads a list with none.
+        assert_agree("L = list(1, 2, 3)\nL(7) = 1\nn = length(L)\np = L(5)");
+        // Field assignment auto-creates a hash; in a function, on a copy.
+        assert_agree(
+            "H.f = 1\nH.g = 'x'\nfunction [r] = f()\n  H.h = 2\n  r = H\nendfunction\nR = f()\nn = length(H)",
+        );
+        assert_agree("Lpb = list('a', 'b', 'c', 'd')\nk = 2\nLpb(1:k) = []\ns = ''\nfor pb = Lpb' do\n  s = s + pb\nend");
+    }
+
+    /// `setup` then a failing `stmt`: both engines report the same error,
+    /// and every binding reads back exactly as after `setup` alone.
+    #[track_caller]
+    fn assert_failed_mutation_keeps_bindings(setup: &str, stmt: &str) {
+        let src = format!("{setup}\n{stmt}");
+        assert_agree(&src);
+        for engine in [Engine::Tree, Engine::Vm] {
+            let mut before = Interp::with_engine(engine);
+            before.run(setup).unwrap();
+            let mut after = Interp::with_engine(engine);
+            assert!(after.run(&src).is_err(), "{stmt} must fail on {engine:?}");
+            assert_eq!(
+                snapshot(&before),
+                snapshot(&after),
+                "{stmt} changed a binding on {engine:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn failed_mutations_leave_the_binding_unchanged() {
+        assert_failed_mutation_keeps_bindings("L = list(1, 2)", "L(0) = 1");
+        assert_failed_mutation_keeps_bindings("A = [1, 2]", "A('x') = 1");
+        // Matrices do not grow: an out-of-range write is an error.
+        assert_failed_mutation_keeps_bindings("A = [1, 2; 3, 4]", "A(2,3) = 5");
+        assert_failed_mutation_keeps_bindings("L = list(1)", "L(2) = mpibuf_create(4)");
+        assert_failed_mutation_keeps_bindings("x = 5", "x.add_last[1]");
+        assert_failed_mutation_keeps_bindings("L = list(1)", "L.add_last[]");
+        assert_failed_mutation_keeps_bindings("L = list(1)", "L.f = 1");
     }
 
     #[test]
